@@ -15,17 +15,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import SpecMismatchError
-
-_INT64_LIMIT = 2**62
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, int(n**0.5) + 1):
-        if n % q == 0:
-            return False
-    return True
+from .linalg import _is_prime, residue_dtype
 
 
 @dataclass(frozen=True)
@@ -81,10 +71,8 @@ class GroupRingSpec:
         return math.prod(self.orders) if self.orders else 1
 
     def dtype(self):
-        # Accumulated convolution sums must stay below 2^62 for the fast path.
-        if self.modulus * self.modulus * max(self.size, 1) < _INT64_LIMIT:
-            return np.int64
-        return object
+        # A convolution sums up to ``size`` products of two residues.
+        return residue_dtype(self.modulus, self.size)
 
     def index_of(self, exps: tuple[int, ...]) -> int:
         radices = self.radices

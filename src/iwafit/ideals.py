@@ -1,9 +1,9 @@
 """Ideals and fractional ideals of the truncated group ring.
 
 An ideal is stored as a generator list; its canonical form is the Howell
-normal form of the Z/p^k-module it spans inside R, computed by spinning:
-every vector that enters the Howell basis is multiplied by each ring
-generator (delta_i, T_j) and re-inserted until nothing new appears.
+normal form of the Z/p^k-module it spans inside R.  The products of each
+generator with every basis monomial span that module, so one bulk Howell
+pass over their stacked multiplication matrices computes it.
 Equality of canonical forms decides equality of ideal images in the
 truncated ring, so a "false" verdict certifies exact inequality while a
 "true" verdict is evidence at the working precision.
@@ -29,7 +29,7 @@ from .groupring import (
     one,
     zero,
 )
-from .linalg import CoeffMatrix, howell_span_rows
+from .linalg import CoeffMatrix, _reduce, howell_span_rows
 
 
 class Ideal:
@@ -71,11 +71,9 @@ class Ideal:
         return self.canonical.nrows == 0
 
     def contains(self, x: RingElement) -> bool:
-        from .linalg import member
-
         if x.spec != self.spec:
             raise SpecMismatchError("element does not live on the ideal's spec")
-        return member(x.coeffs, self.canonical)
+        return _reduce(x.coeffs, self.canonical)
 
     def __repr__(self):
         return f"Ideal({len(self.generators)} generators over {self.spec})"

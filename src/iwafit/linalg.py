@@ -5,19 +5,73 @@ Z/p^k: row echelon, every pivot a power of p, entries above a pivot reduced
 modulo that pivot, and the row set closed under scalar multiplication.  Two
 matrices span the same submodule of (Z/p^k)^n iff their Howell forms are
 identical, which is what every ideal comparison in this library reduces to.
+
+``howell_span_rows`` is the one kernel that computes it, by blocked
+elimination with delayed updates (after Storjohann and Mulders, "Fast
+algorithms for linear algebra modulo N", 1998):
+
+- Elimination walks the columns in panels of at most ``PANEL`` columns.
+  Inside a panel, the panel columns are updated eagerly, on the rows whose
+  multiplier is non-zero, and the multipliers ``C`` and each pivot's
+  trailing part ``T`` are recorded.  A pivot row's trailing part is first
+  brought up to date from the panel's earlier pivots.  The rows p^(k-e)
+  times a pivot p^e, which keep the row set span-closed, enter the panel
+  as they arise.  At the end of the panel one matrix product ``Tr - C @ T``
+  updates the trailing columns, and pivot rows and zero rows are dropped.
+- Back-substitution reduces the entries above each pivot in blocks of the
+  same width.  Within a block each pivot row is still in its state at the
+  start of the block when it is used, so the block's reductions of all the
+  rows above are one product ``Q @ H_block``.
+
+A product sums at most ``width`` terms, each below (mod - 1)^2.  One policy
+(``residue_dtype`` for stored residues, ``_arithmetic`` for the kernel)
+picks where that arithmetic is exact:
+
+- float64 (BLAS products, reductions ``x - floor(x/mod)*mod``) while
+  ``PANEL*(mod-1)^2 + mod < 2^53``, so every partial sum is an integer that
+  float64 holds exactly;
+- int64 for ``mod < 2^31`` (``mod^2 < 2^62``), with the panel cut to the
+  largest width whose products stay below 2^63;
+- Python ints (dtype object) above that, in panels of ``OBJECT_PANEL``.
+
+``HowellBuilder`` inserts rows one at a time.  It is the slow referee the
+tests hold the kernel to, and no library path uses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+PANEL = 64
+# Object-dtype products run in Python, so width buys no speed there, and a
+# narrow panel does less eager work per pivot.
+OBJECT_PANEL = 16
+# Rows converted or updated at once: bounds the temporaries on tall inputs.
+_ROW_CHUNK = 4096
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
     return all(n % q for q in range(2, int(n**0.5) + 1))
+
+
+def residue_dtype(mod: int, inner: int = 1):
+    """Storage dtype for residues mod ``mod`` whose pairwise products are
+    summed ``inner`` at a time: int64 while mod^2 * inner < 2^62, else
+    Python ints (object)."""
+    return np.int64 if mod * mod * max(inner, 1) < 2**62 else object
+
+
+def _arithmetic(mod: int):
+    """(dtype, panel width) of the Howell kernel modulo ``mod``."""
+    if PANEL * (mod - 1) ** 2 + mod < 2**53:
+        return np.float64, PANEL
+    if residue_dtype(mod) is np.int64:
+        return np.int64, min(PANEL, (2**63 - mod) // (mod - 1) ** 2)
+    return object, OBJECT_PANEL
 
 
 @dataclass(frozen=True)
@@ -37,7 +91,7 @@ class CoeffMatrix:
         if self.p**self.k >= 2**128:
             raise ValueError("p^k must fit in a 128-bit word")
         mod = self.p**self.k
-        dtype = np.int64 if mod < 2**31 else object
+        dtype = residue_dtype(mod)
         normalized = []
         for row in self.rows:
             arr = np.asarray(row, dtype=dtype) % mod
@@ -68,25 +122,22 @@ class CoeffMatrix:
 
 
 class HowellBuilder:
-    """Incremental Howell-form accumulator.
+    """Incremental Howell-form accumulator, the referee for the kernel.
 
     Rows are inserted one at a time; the builder keeps at most one pivot row
     per column, pivots normalized to powers of p.  Installing a pivot p^e
     with e > 0 also inserts p^(k-e) times the row, which is what makes the
-    row set span-closed.  ``on_install`` (if set) is called with every raw
-    vector that enters the basis, which ideal canonicalization uses to spin
-    products with the ring generators.
+    row set span-closed.
     """
 
-    def __init__(self, p: int, k: int, ncols: int, on_install=None):
+    def __init__(self, p: int, k: int, ncols: int):
         self.p = p
         self.k = k
         self.mod = p**k
         self.ncols = ncols
         self.pivots: dict[int, np.ndarray] = {}
         self.pivot_val: dict[int, int] = {}
-        self.on_install = on_install
-        self._dtype = np.int64 if self.mod < 2**31 else object
+        self._dtype = residue_dtype(self.mod)
 
     def _valuation(self, x: int) -> int:
         e = 0
@@ -132,8 +183,6 @@ class HowellBuilder:
         self.pivot_val[col] = e
         if e > 0:
             queue.append((v * self.p ** (self.k - e)) % self.mod)
-        if self.on_install is not None:
-            self.on_install(v)
 
     def normalized_rows(self) -> list[np.ndarray]:
         """Back-substituted rows, sorted by pivot column."""
@@ -154,82 +203,155 @@ class HowellBuilder:
         return [rows[c] for c in cols]
 
 
-def _valuations(vals: np.ndarray, p: int, k: int) -> np.ndarray:
-    """Vectorized p-adic valuation, with k standing in for the zero entries."""
-    x = np.asarray(vals).copy()
-    v = np.full(x.shape, 0, dtype=np.int64)
-    v[x == 0] = k
-    for _ in range(k):
-        mask = (x != 0) & (x % p == 0)
-        if not mask.any():
-            break
-        x[mask] //= p
-        v[mask] += 1
-    return v
+def _reducer(dtype, mod: int):
+    """Elementwise reduction into [0, mod) for the kernel's dtype."""
+    if dtype is np.float64:
+        fmod = float(mod)
+        return lambda x: x - np.floor(x / fmod) * fmod
+    return lambda x: x % mod
+
+
+def _min_valuation(vals: np.ndarray, p: int, k: int) -> tuple[int, int]:
+    """(e, i): the least p-adic valuation among non-zero ``vals`` and the
+    first index attaining it."""
+    for e in range(k):
+        hit = np.flatnonzero(vals % p ** (e + 1))
+        if len(hit):
+            return e, int(hit[0])
+    raise AssertionError("a zero entry was taken for a non-zero one")
+
+
+def _working_copy(mat, ncols: int, mod: int, dtype):
+    """The non-zero rows of ``mat`` reduced mod ``mod``, in the kernel's
+    dtype.  Zero rows go before the conversion, and this is the only
+    full-size copy the kernel makes."""
+    A = np.asarray(mat, dtype=object if dtype is object else np.int64)
+    if A.ndim != 2 or (A.size and A.shape[1] != ncols):
+        raise ValueError("matrix shape does not match ncols")
+    keep = np.flatnonzero(np.any(A, axis=1))
+    M = np.empty((len(keep), ncols), dtype=dtype)
+    for s in range(0, len(keep), _ROW_CHUNK):
+        M[s:s + _ROW_CHUNK] = A[keep[s:s + _ROW_CHUNK]] % mod
+    return M
+
+
+def _eliminate(M, p: int, k: int, width: int, red):
+    """Echelon rows of the span of M, as (H, pivot columns, valuations).
+
+    Row i of H has its pivot p^e_i in column cols[i] and zeros left of it.
+    M is consumed panel by panel; see the module docstring.
+    """
+    mod = p**k
+    dtype = M.dtype
+    ncols = M.shape[1]
+    H = np.zeros((ncols, ncols), dtype=dtype)
+    cols: list[int] = []
+    es: list[int] = []
+    c0 = 0
+    while c0 < ncols and len(M):
+        w = min(width, ncols - c0)
+        n = len(M)
+        P = np.zeros((n + w, w), dtype=dtype)  # room for appended rows
+        P[:n] = M[:, :w]
+        Tr = M[:, w:]
+        Ta = np.zeros((w, ncols - c0 - w), dtype=dtype)  # appended rows' trailing parts
+        C = np.zeros((n + w, w), dtype=dtype)
+        T = np.zeros((w, ncols - c0 - w), dtype=dtype)
+        live = np.zeros(n + w, dtype=bool)
+        live[:n] = True
+        appended = npiv = 0
+        for j in range(w):
+            # Panel entries are reduced only when their column is reached:
+            # each took at most one product per pivot, so they stay exact.
+            colj = red(P[:, j])
+            nz = np.flatnonzero(colj)
+            if not len(nz):
+                continue
+            c = colj[nz]
+            e, ri = _min_valuation(c, p, k)
+            r = int(nz[ri])
+            pe = p**e
+            inv = pow(int(c[ri]) // pe, -1, mod)
+            prow = red(red(P[r, j:]) * inv)
+            trail = Tr[r] if r < n else Ta[r - n]
+            T[npiv] = red(red(trail - C[r, :npiv] @ T[:npiv]) * inv)
+            H[len(cols), c0 + j:c0 + w] = prow
+            H[len(cols), c0 + w:] = T[npiv]
+            cols.append(c0 + j)
+            es.append(e)
+            # e is minimal among the non-zero entries, so the division is exact.
+            c //= pe
+            c[ri] = 0
+            P[nz, j + 1:] -= c[:, None] * prow[1:]
+            C[nz, npiv] = c
+            P[r] = 0
+            live[r] = False
+            if e > 0:
+                scale = p ** (k - e)
+                P[n + appended, j:] = red(prow * scale)
+                Ta[appended] = red(T[npiv] * scale)
+                live[n + appended] = True
+                appended += 1
+            npiv += 1
+        if npiv:
+            rows = np.flatnonzero(live)
+            Tr = np.concatenate([Tr[rows[rows < n]], Ta[rows[rows >= n] - n]])
+            C = C[rows, :npiv]
+            touched = np.flatnonzero(np.any(C, axis=1))
+            for s in range(0, len(touched), _ROW_CHUNK):
+                t = touched[s:s + _ROW_CHUNK]
+                Tr[t] = red(Tr[t] - C[t] @ T[:npiv])
+        del M, P, C
+        M = Tr[np.any(Tr, axis=1)]
+        c0 += w
+    return H[:len(cols)], cols, es
+
+
+def _back_substitute(H, cols: list[int], es: list[int], p: int, width: int, red):
+    """Reduce every entry above a pivot p^e into [0, p^e), in place."""
+    cols = np.asarray(cols)
+    for i0 in range(0, len(H), width):
+        i1 = min(i0 + width, len(H))
+        block = cols[i0:i1]
+        b0 = int(block[0])
+        Hb = H[i0:i1, b0:].copy()
+        Hbc = Hb[:, block - b0]
+        # The entries of rows [0, i1) in the block's pivot columns, kept up
+        # to date step by step; they decide the quotients.
+        S = H[:i1][:, block]
+        Q = np.zeros((i1, i1 - i0), dtype=H.dtype)
+        for t in range(i1 - i0):
+            q = red(S[:i0 + t, t]) // p ** es[i0 + t]
+            nz = np.flatnonzero(q)
+            if len(nz):
+                Q[nz, t] = q[nz]
+                S[nz, t + 1:] -= q[nz, None] * Hbc[t, t + 1:]
+        touched = np.flatnonzero(np.any(Q, axis=1))
+        if len(touched):
+            H[touched, b0:] = red(H[touched, b0:] - Q[touched] @ Hb)
 
 
 def howell_span_rows(p: int, k: int, ncols: int, mat) -> list[np.ndarray]:
     """Howell normal form rows of the row span of a stacked matrix.
 
-    Column-at-a-time elimination: the minimal-valuation entry in the current
-    column becomes the pivot (normalized to p^e), every other row is cleared
-    there in one vectorized pass, and p^(k-e) times the pivot re-enters the
-    worklist to keep the row set span-closed.  A final ascending pass reduces
-    the entries above each pivot modulo the pivot value.
+    Blocked elimination, then blocked back-substitution, in the arithmetic
+    the module docstring describes.  Rows come back in pivot order, as
+    int64 for moduli below 2^31 and as Python ints (object) above.
     """
     mod = p**k
-    dtype = np.int64 if mod < 2**31 else object
-    M = np.asarray(mat, dtype=dtype) % mod
-    if M.ndim != 2 or (M.size and M.shape[1] != ncols):
-        raise ValueError("matrix shape does not match ncols")
-    if M.size == 0:
-        return []
-    pivot_cols: list[int] = []
-    pivot_es: list[int] = []
-    pivot_rows: list[np.ndarray] = []
-    for col in range(ncols):
-        colvals = M[:, col]
-        nz = np.nonzero(colvals)[0]
-        if len(nz) == 0:
-            continue
-        es = _valuations(colvals[nz], p, k)
-        r = int(nz[np.argmin(es)])
-        e = int(es.min())
-        pe = p**e
-        unit = int(M[r, col]) // pe
-        pivot = (M[r] * pow(unit, -1, mod)) % mod
-        pivot_cols.append(col)
-        pivot_es.append(e)
-        pivot_rows.append(pivot)
-        # e is minimal among the nonzero entries, so the division is exact.
-        c = (colvals // pe) % mod
-        c[r] = 0
-        idx = np.nonzero(c)[0]
-        if len(idx):
-            M[idx] = (M[idx] - np.outer(c[idx], pivot)) % mod
-        M[r] = 0
-        if e > 0:
-            M = np.concatenate([M, ((pivot * p ** (k - e)) % mod)[None, :]])
-        if len(M) > 4 * ncols + 8:
-            M = M[np.any(M, axis=1)]
-    H = np.array(pivot_rows, dtype=dtype)
-    for i, col in enumerate(pivot_cols):
-        if i == 0:
-            continue
-        pe = p ** pivot_es[i]
-        q = H[:i, col] // pe
-        idx = np.nonzero(q)[0]
-        if len(idx):
-            H[idx] = (H[idx] - np.outer(q[idx], H[i])) % mod
+    dtype, width = _arithmetic(mod)
+    red = _reducer(dtype, mod)
+    H, cols, es = _eliminate(_working_copy(mat, ncols, mod, dtype), p, k, width, red)
+    _back_substitute(H, cols, es, p, width, red)
+    if dtype is np.float64:
+        H = H.astype(np.int64)
     return [row for row in H]
 
 
 def howell_form(A: CoeffMatrix) -> CoeffMatrix:
     """The unique Howell normal form of the row span of A (zero rows removed)."""
-    builder = HowellBuilder(A.p, A.k, A.ncols)
-    for row in A.rows:
-        builder.insert(row)
-    return CoeffMatrix(A.p, A.k, A.ncols, tuple(builder.normalized_rows()))
+    mat = np.array(A.rows, dtype=residue_dtype(A.modulus)).reshape(A.nrows, A.ncols)
+    return CoeffMatrix(A.p, A.k, A.ncols, tuple(howell_span_rows(A.p, A.k, A.ncols, mat)))
 
 
 def same_span(A: CoeffMatrix, B: CoeffMatrix) -> bool:
@@ -238,21 +360,24 @@ def same_span(A: CoeffMatrix, B: CoeffMatrix) -> bool:
     return howell_form(A) == howell_form(B)
 
 
-def member(v, A: CoeffMatrix) -> bool:
-    """True iff v reduces to zero against the Howell form of A."""
-    H = howell_form(A)
-    mod = A.modulus
-    vec = np.asarray(v, dtype=H.rows[0].dtype if H.rows else np.int64) % mod
-    if vec.shape != (A.ncols,):
+def _reduce(v, H: CoeffMatrix) -> bool:
+    """True iff v reduces to zero against H, which must be in Howell form."""
+    mod = H.modulus
+    vec = np.asarray(v, dtype=residue_dtype(mod)) % mod
+    if vec.shape != (H.ncols,):
         raise ValueError("vector length does not match ncols")
-    p = A.p
-    piv = {int(np.nonzero(row)[0][0]): row for row in H.rows}
-    for col in sorted(piv):
+    for row in H.rows:
+        col = int(np.flatnonzero(row)[0])
         x = int(vec[col])
         if x == 0:
             continue
-        pe = int(piv[col][col])
+        pe = int(row[col])
         if x % pe:
             return False
-        vec = (vec - (x // pe) * piv[col]) % mod
+        vec = (vec - (x // pe) * row) % mod
     return not np.any(vec)
+
+
+def member(v, A: CoeffMatrix) -> bool:
+    """True iff v lies in the row span of A."""
+    return _reduce(v, howell_form(A))

@@ -1,16 +1,31 @@
-"""Howell form against brute-force span enumeration.
+"""Howell form against brute-force span enumeration and the incremental builder.
 
 The spans are small enough (p^k <= 9, ncols <= 2) to enumerate every
 Z/p^k-linear combination of the rows, which gives an independent oracle for
-same_span, member and the span-closure property of the Howell form.
+same_span, member and the span-closure property of the Howell form.  The
+blocked kernel is also held to ``HowellBuilder`` on inputs that span several
+panels, in every arithmetic tier.
 """
 
+import random
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from iwafit.linalg import CoeffMatrix, HowellBuilder, howell_form, howell_span_rows, member, same_span
+from iwafit import GroupRingSpec
+from iwafit.linalg import (
+    CoeffMatrix,
+    HowellBuilder,
+    _arithmetic,
+    howell_form,
+    howell_span_rows,
+    member,
+    residue_dtype,
+    same_span,
+)
 
 
 def enumerate_span(rows, mod, ncols):
@@ -74,6 +89,14 @@ def test_member_matches_enumeration(p, k, rng):
         assert member(v, CoeffMatrix(p, k, ncols, tuple(map(tuple, A)))) == expected
 
 
+def builder_form(p, k, ncols, A) -> CoeffMatrix:
+    """The Howell form of the rows of A by the incremental referee."""
+    builder = HowellBuilder(p, k, ncols)
+    for row in A:
+        builder.insert(row)
+    return CoeffMatrix(p, k, ncols, tuple(builder.normalized_rows()))
+
+
 def test_bulk_elimination_matches_incremental(rng):
     for _ in range(200):
         p = int(rng.choice([2, 3, 5]))
@@ -81,9 +104,86 @@ def test_bulk_elimination_matches_incremental(rng):
         ncols = int(rng.integers(1, 8))
         nrows = int(rng.integers(1, 10))
         A = rng.integers(0, p**k, size=(nrows, ncols))
-        H1 = howell_form(CoeffMatrix(p, k, ncols, tuple(map(tuple, A))))
+        H1 = builder_form(p, k, ncols, A)
         H2 = CoeffMatrix(p, k, ncols, tuple(howell_span_rows(p, k, ncols, A)))
         assert H1 == H2
+
+
+def structured_rows(seed, p, k, nrows, ncols):
+    """Rows whose Howell form has non-unit pivots at panel edges.
+
+    Most rows combine up to three staircase rows, each a pivot p^e * unit
+    with zeros to its left.  The staircase includes the last two columns of
+    every panel, so a non-unit pivot there appends its p^(k-e) row across
+    the panel boundary.  The rest are zero rows, duplicates of earlier rows
+    and dense random rows.
+    """
+    rnd = random.Random(seed)
+    mod = p**k
+    width = _arithmetic(mod)[1]
+    density = rnd.choice([0.1, 0.5, 1.0])
+    edges = {c for b in range(width, ncols + 1, width) for c in (b - 2, b - 1) if c >= 0}
+    stair = []
+    for c in sorted(edges | set(rnd.sample(range(ncols), min(ncols, 8)))):
+        unit = rnd.randrange(1, mod)
+        while unit % p == 0:
+            unit = rnd.randrange(1, mod)
+        tail = [rnd.randrange(mod) if rnd.random() < density else 0 for _ in range(ncols - c - 1)]
+        stair.append([0] * c + [p ** rnd.randrange(k) * unit % mod] + tail)
+    rows = []
+    for _ in range(nrows):
+        kind = rnd.random()
+        if kind < 0.1:
+            rows.append([0] * ncols)
+        elif kind < 0.2 and rows:
+            rows.append(list(rnd.choice(rows)))
+        elif kind < 0.3:
+            rows.append([rnd.randrange(mod) for _ in range(ncols)])
+        else:
+            parts = [(rnd.randrange(1, mod), rnd.choice(stair)) for _ in range(rnd.randint(1, 3))]
+            rows.append([sum(g * s[c] for g, s in parts) % mod for c in range(ncols)])
+    return np.array(rows, dtype=residue_dtype(mod)).reshape(nrows, ncols)
+
+
+# One modulus or more per arithmetic tier of the kernel, with the tier it
+# must land in and the number of examples (the referee is slow on objects).
+TIERS = [
+    (3, 4, np.float64, 12),
+    (5, 4, np.float64, 12),
+    (11863279, 1, np.float64, 8),  # largest prime with 64*(q-1)^2 + q < 2^53
+    (11863289, 1, np.int64, 8),  # the next prime, past the float bound
+    (3, 17, np.int64, 8),
+    (3, 19, np.int64, 8),  # panels of 6 columns
+    (2147483647, 1, np.int64, 4),  # 2^31 - 1: panels of 2 columns
+    (3, 21, object, 4),
+    (3, 70, object, 4),
+]
+
+
+@pytest.mark.parametrize("p,k,tier,examples", TIERS)
+def test_kernel_matches_builder(p, k, tier, examples):
+    assert _arithmetic(p**k)[0] is tier
+
+    @settings(max_examples=examples, deadline=None, database=None)
+    @given(shape=st.integers(1, 150).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 2 * n))),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shape=(150, 300), seed=0)
+    def check(shape, seed):
+        ncols, nrows = shape
+        A = structured_rows(seed, p, k, nrows, ncols)
+        H = CoeffMatrix(p, k, ncols, tuple(howell_span_rows(p, k, ncols, A)))
+        assert H == builder_form(p, k, ncols, A)
+
+    check()
+
+
+def test_residue_dtype_thresholds():
+    assert residue_dtype(2**31 - 1) is np.int64
+    assert residue_dtype(2147483659) is object
+    assert _arithmetic(2147483659) == (object, 16)
+    # A ring product sums up to `size` products: 3^38 * 3 < 2^62 <= 3^38 * 6.
+    assert GroupRingSpec(3, 19, (3,), 0, 1).dtype() is np.int64
+    assert GroupRingSpec(3, 19, (3,), 1, 2).dtype() is object
 
 
 def test_scalar_closure_property(rng):
