@@ -24,7 +24,7 @@ from .complexes import (
     tensor,
     trivial_complex,
 )
-from .errors import IwafitError, ParseError, SpecMismatchError
+from .errors import IwafitError, ParseError, PrecisionError, SpecMismatchError
 from .fitting import (
     PresentedModule,
     apply_hom_to_presentation,
@@ -32,6 +32,7 @@ from .fitting import (
     fitting_ideal,
     fitting_ideal_naive,
     lift_presentation,
+    lifted_fitting_ideal,
     transpose_dual,
 )
 from .groupring import (

@@ -15,7 +15,8 @@ Commands:
 
 Every command emits one JSON document with the fixed keys
 {"spec", "command", "verdict", "certified_precision", "canonical_generators"}.
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
+3 working precision too low (the message names the N needed).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .apps import DecompositionData, euler_factor_closed, euler_factor_direct
 from .complexes import RingMatrix, matrix_from_rows
-from .errors import IwafitError, ParseError, SpecMismatchError
+from .errors import IwafitError, ParseError, PrecisionError, SpecMismatchError
 from .fitting import PresentedModule, fitting_ideal
 from .groupring import GroupRingSpec, RingElement, one
 from .ideals import (
@@ -361,6 +362,9 @@ def run_session(lines, session: Session, output=None) -> int:
         except (UsageError, ParseError, SpecMismatchError, ValueError) as exc:
             print(f"error at line {lineno}: {exc}", file=sys.stderr)
             return 2
+        except PrecisionError as exc:
+            print(f"error at line {lineno}: {exc}", file=sys.stderr)
+            return 3
         except IwafitError as exc:
             print(f"error at line {lineno}: {exc}", file=sys.stderr)
             return 1

@@ -16,3 +16,14 @@ class ParseError(IwafitError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
+
+
+class PrecisionError(IwafitError):
+    """The working precision is too low for the requested value.
+
+    ``needed_N`` is the smallest T-precision N at which it is defined.
+    """
+
+    def __init__(self, message, needed_N: int):
+        super().__init__(message)
+        self.needed_N = needed_N

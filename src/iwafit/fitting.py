@@ -2,11 +2,25 @@
 
 The Fitting ideal of coker(h: R^b -> R^a) is generated by all a x a minors
 of h.  The ring has zero divisors, so fraction-free elimination is not
-available; minors are computed division-free by a depth-first walk over
-column subsets that carries, for every row subset of the current size, the
-determinant of the corresponding submatrix (Laplace expansion along each
-newly chosen column).  Subdeterminants are shared across all C(b, a)
-minors, costing O(2^a * b) ring multiplications overall.
+available; minors are computed division-free by one depth-first walk over
+increasing column subsets.  At depth j the walk carries, for every j-row
+subset, the determinant of those rows and the j chosen columns, and
+choosing one more column extends each of them by Laplace expansion along
+it.  Subdeterminants are shared between column subsets with a common
+prefix, but the walk still visits every column subset of size j <= a, each
+holding up to C(a, j) subdeterminants: at most
+sum_j C(b, j) * C(a, j) * (a - j) ring multiplications, not O(2^a * b).
+Branches whose subdeterminants all vanish are cut.
+
+Presentations lifted by one T variable are graded.  For h over the ring
+without T_d, choosing a - j of the T_d columns of [h | T_d * 1_a] leaves a
+j x j minor of h, so
+
+    Fitt(coker [h | T_d * 1_a]) = sum_j T_d^(a - j) * I_j(h),
+
+with I_j(h) the ideal of j x j minors (I_0 = R).  ``lifted_fitting_ideal``
+takes the I_j(h) from one walk over h, on a ring N times smaller than the
+lift, and drops the sizes j <= a - N, whose T_d-power vanishes.
 """
 
 from __future__ import annotations
@@ -14,47 +28,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .complexes import RingMatrix, matrix_from_rows
 from .errors import SpecMismatchError
 from .groupring import GroupRingSpec, RingElement, mul, one, zero
-from .ideals import Ideal, unit_ideal, zero_ideal
+from .ideals import Ideal, distinct_nonzero, unit_ideal, zero_ideal
 
 
 @dataclass(frozen=True)
 class PresentedModule:
-    """Module given as coker(h: R^b -> R^a) for an a x b matrix h.
-
-    ``annihilator_witness`` optionally records an element declared by the
-    constructor to annihilate the module.
-    """
+    """Module given as coker(h: R^b -> R^a) for an a x b matrix h."""
 
     presentation: RingMatrix
-    annihilator_witness: RingElement | None = None
 
     @property
     def spec(self) -> GroupRingSpec:
         return self.presentation.spec
 
 
-def fitting_ideal(m: PresentedModule) -> Ideal:
-    """Ideal of all maximal minors of the presentation matrix."""
-    h = m.presentation
+def _minors_by_size(h: RingMatrix, jmin: int) -> list[list[RingElement]]:
+    """Non-zero j x j minors of h for every size j >= jmin, indexed by j.
+
+    Each minor carries a sign that depends only on j, so the list for j
+    generates I_j(h); sizes below ``jmin`` get empty lists.
+    """
     a, b = h.nrows, h.ncols
-    spec = h.spec
-    if a == 0:
-        return unit_ideal(spec)
-    if b < a:
-        return zero_ideal(spec)
-    minors: list[RingElement] = []
-    full = (1 << a) - 1
+    jmax = min(a, b)
+    found: list[list[RingElement]] = [[] for _ in range(a + 1)]
+    if jmin <= 0:
+        found[0].append(one(h.spec))
 
     def extend(col: int, state: dict[int, RingElement], depth: int):
-        # state maps row-bitmasks of size `depth` to subdeterminants of the
-        # columns chosen so far.
-        if depth == a:
-            minors.append(state[full])
-            return
-        for c in range(col, b - (a - depth) + 1):
+        # state maps row-bitmasks of size `depth` to the non-zero
+        # subdeterminants of the columns chosen so far.  Column c is only
+        # tried while enough columns remain after it to reach size jmin.
+        for c in range(col, b - max(jmin - depth, 1) + 1):
             new_state: dict[int, RingElement] = {}
             column = [h.at(i, c) for i in range(a)]
             for mask, det in state.items():
@@ -71,15 +80,53 @@ def fitting_ideal(m: PresentedModule) -> Ideal:
                     new_mask = mask | bit
                     acc = new_state.get(new_mask)
                     new_state[new_mask] = term if acc is None else acc + term
-            if new_state:
+            new_state = {k: x for k, x in new_state.items() if not x.is_zero()}
+            if depth + 1 >= jmin:
+                found[depth + 1].extend(new_state.values())
+            # An empty state has no non-zero extension: every larger minor
+            # through these columns is a combination of its entries.
+            if new_state and depth + 1 < jmax:
                 extend(c + 1, new_state, depth + 1)
-            elif depth + 1 == a:
-                pass  # all candidate minors through this column are zero
-    # Seed: empty column set, empty row set, determinant 1.
-    extend(0, {0: one(spec)}, 0)
-    if not minors:
-        return zero_ideal(spec)
-    return Ideal(spec, minors)
+
+    if jmax >= max(jmin, 1):
+        # Seed: empty column set, empty row set, determinant 1.
+        extend(0, {0: one(h.spec)}, 0)
+    return found
+
+
+def fitting_ideal(m: PresentedModule) -> Ideal:
+    """Ideal of all maximal minors of the presentation matrix."""
+    h = m.presentation
+    return Ideal(h.spec, _minors_by_size(h, h.nrows)[h.nrows])
+
+
+def lifted_fitting_ideal(m: PresentedModule, target: GroupRingSpec,
+                         t_power: int = 0) -> Ideal:
+    """T_d^t_power * Fitt(coker [h | T_d * 1_a]) over ``target``.
+
+    ``m`` = coker(h) lives on ``target`` without its last T variable T_d,
+    and the result equals ``fitting_ideal(lift_presentation(m, target,
+    [T_d]))`` scaled by T_d^t_power.  The generators are the distinct
+    non-zero minors of each size j, placed at T_d-degree a - j + t_power
+    (T_d is the last radix, so no ring multiplication is needed); sizes
+    whose degree reaches N are skipped.
+    """
+    h = m.presentation
+    src = h.spec
+    if t_power < 0:
+        raise ValueError("t_power must be nonnegative")
+    if (target.d < 1 or (src.p, src.k, src.orders, src.d + 1, src.N)
+            != (target.p, target.k, target.orders, target.d, target.N)):
+        raise SpecMismatchError("source spec is not the target without its last T variable")
+    a, N = h.nrows, target.N
+    by_size = _minors_by_size(h, a + t_power - N + 1)
+    gens = []
+    for j, minors in enumerate(by_size):
+        for x in distinct_nonzero(minors):
+            coeffs = np.zeros((src.size, N), dtype=target.dtype())
+            coeffs[:, a - j + t_power] = x.coeffs
+            gens.append(RingElement(target, coeffs.reshape(target.size)))
+    return Ideal(target, gens)
 
 
 def fitting_ideal_naive(m: PresentedModule) -> Ideal:
@@ -141,8 +188,7 @@ def lift_presentation(m: PresentedModule, target: GroupRingSpec,
         for i in range(a):
             rows[i].extend(f if t == i else zero(target) for t in range(a))
     return PresentedModule(matrix_from_rows(target, rows) if a else
-                           RingMatrix(target, 0, b + len(killed) * a, ()),
-                           m.annihilator_witness)
+                           RingMatrix(target, 0, b + len(killed) * a, ()))
 
 
 def transpose_dual(m: PresentedModule) -> PresentedModule:
@@ -150,7 +196,7 @@ def transpose_dual(m: PresentedModule) -> PresentedModule:
     h = m.presentation
     if h.nrows != h.ncols:
         raise ValueError("transpose dual needs a square presentation")
-    return PresentedModule(h.transpose(), m.annihilator_witness)
+    return PresentedModule(h.transpose())
 
 
 def direct_sum(m1: PresentedModule, m2: PresentedModule) -> PresentedModule:

@@ -32,6 +32,21 @@ from .groupring import (
 from .linalg import CoeffMatrix, _reduce, howell_span_rows
 
 
+def distinct_nonzero(elements) -> list[RingElement]:
+    """The non-zero elements, each coefficient vector kept once, in order."""
+    seen = set()
+    out = []
+    for x in elements:
+        if x.is_zero():
+            continue
+        c = x.coeffs
+        key = tuple(c) if c.dtype == object else c.tobytes()
+        if key not in seen:
+            seen.add(key)
+            out.append(x)
+    return out
+
+
 class Ideal:
     """Finitely generated ideal of the truncated ring."""
 
@@ -58,7 +73,7 @@ class Ideal:
         # whole ideal, so one bulk Howell pass over the stacked
         # multiplication matrices canonicalizes it.
         spec = self.spec
-        blocks = [multiplication_rows(g) for g in self.generators if not g.is_zero()]
+        blocks = [multiplication_rows(g) for g in distinct_nonzero(self.generators)]
         if not blocks:
             return CoeffMatrix(spec.p, spec.k, spec.size, ())
         rows = howell_span_rows(spec.p, spec.k, spec.size, np.vstack(blocks))

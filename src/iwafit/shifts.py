@@ -2,10 +2,14 @@
 
 For n >= 0 the n-th shift of Z_p over (Z/p^k)[delta][T_1..T_d] is computed
 from the tensor product of the cyclic-factor resolutions and the two-term
-complexes for T_1..T_(d-1), built over the spec without T_d: the boundary
-d_(n+1) presents the n-th kernel module N_n, its presentation lifts to the
-full ring by appending a T_d block, and the value is (T_d)^t * Fitt(N_n)
-with t the alternating sum of the complex ranks below degree n.
+complexes for T_1..T_(d-1), built over the spec without T_d.  The boundary
+h = d_(n+1) presents the n-th kernel module N_n there; over the full ring
+N_n is presented by [h | T_d * 1_a], and the value is T_d^t * Fitt(N_n)
+with t the alternating sum of the complex ranks below degree n.  The
+Fitting ideal comes from the minors of h, grouped by size
+(``fitting.lifted_fitting_ideal``), so the lifted matrix is never built.
+A negative t puts T_d^(-t) in the denominator, which needs N > -t; below
+that a ``PrecisionError`` is raised before any minor is computed.
 
 Negative shifts are restricted to the regimes with a computable answer:
 d = 1 (any finite abelian group, via the norm-multiplication embedding for
@@ -15,11 +19,11 @@ two-periodicity of the shifts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import ChainComplex, cyclic_complex, t_complex, tensor, trivial_complex
-from .errors import IwafitError
-from .fitting import PresentedModule, fitting_ideal, lift_presentation
+from .errors import IwafitError, PrecisionError
+from .fitting import PresentedModule, fitting_ideal, lifted_fitting_ideal
 from .groupring import GroupRingSpec, RingElement, mul, norm_element, one, tvar
 from .ideals import (
     FractionalIdeal,
@@ -27,7 +31,6 @@ from .ideals import (
     Ideal,
     frac_equal,
     ideal_equal,
-    ideal_mul,
     nzd_status,
     scale_ideal,
 )
@@ -114,6 +117,11 @@ def _shift_nonnegative(req: ShiftRequest) -> FractionalIdeal:
                                   req.generator_powers, req.factor_order)
     ranks = complex_.ranks
     t = sum((-1) ** (n + j) * ranks[j] for j in range(n))
+    if -t >= spec.N:
+        raise PrecisionError(
+            f"shift n={n} for orders {spec.orders}, d={spec.d} has denominator "
+            f"T{spec.d}^{-t}, which vanishes at N={spec.N}; it needs N >= {1 - t}",
+            needed_N=1 - t)
     if n == 0:
         # N_0 = Z_p itself, presented by d_1 (the empty matrix when s = d = 0
         # over the sub-spec, in which case lifting supplies the T_d column).
@@ -124,14 +132,10 @@ def _shift_nonnegative(req: ShiftRequest) -> FractionalIdeal:
         from .complexes import RingMatrix
 
         h_sub = RingMatrix(sub, 1, 0, ())
-    presented = PresentedModule(h_sub)
-    lifted = lift_presentation(presented, spec, [tvar(spec, spec.d)])
-    fitt = fitting_ideal(lifted)
-    td = tvar(spec, spec.d)
+    fitt = lifted_fitting_ideal(PresentedModule(h_sub), spec, max(t, 0))
     if t >= 0:
-        num = scale_ideal(td**t, fitt)
-        return FractionalIdeal(num, one(spec), "certified")
-    den = td ** (-t)
+        return FractionalIdeal(fitt, one(spec), "certified")
+    den = tvar(spec, spec.d) ** (-t)
     return FractionalIdeal(fitt, den, nzd_status(den))
 
 
@@ -174,16 +178,16 @@ def shift_from_sequence(data: SequenceData) -> FractionalIdeal:
 
 
 def b_delta_module(spec: GroupRingSpec) -> PresentedModule:
-    """coker(d_3) of the group-only resolution, presented over the full ring.
+    """coker(d_3) of the group-only resolution, over the spec without T.
 
-    Requires d = 1; the presentation is d_3 lifted by the single T variable.
+    Requires d = 1.  The degree-two kernel module B is this presentation
+    lifted by the T variable, so Fitt(B) is
+    ``lifted_fitting_ideal(b_delta_module(spec), spec)``.
     """
     if spec.d != 1:
         raise ValueError("the degree-two kernel module is set up for d = 1")
-    sub = _sub_spec(spec)
-    complex_ = resolution_complex(sub, 3)
-    presented = PresentedModule(complex_.boundary(3))
-    return lift_presentation(presented, spec, [tvar(spec, 1)])
+    complex_ = resolution_complex(_sub_spec(spec), 3)
+    return PresentedModule(complex_.boundary(3))
 
 
 def verify_thm01_identity(spec: GroupRingSpec) -> FracVerdict:
@@ -194,6 +198,6 @@ def verify_thm01_identity(spec: GroupRingSpec) -> FracVerdict:
     lhs = shift_trivial(ShiftRequest(spec, 2))
     t1 = tvar(spec, 1)
     den = t1 ** (s - 1)
-    rhs = FractionalIdeal(fitting_ideal(b_delta_module(spec)), den,
+    rhs = FractionalIdeal(lifted_fitting_ideal(b_delta_module(spec), spec), den,
                           nzd_status(den))
     return frac_equal(lhs, rhs)

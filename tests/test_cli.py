@@ -180,3 +180,10 @@ def test_verify_paper_is_deterministic(capsys):
     report = doc["canonical_generators"]
     assert all(line.startswith(("PASS", "FAIL", "paper", "2")) or "checks passed"
                in line for line in report)
+
+
+def test_precision_error_exit_code(tmp_path, capsys):
+    low = tmp_path / "low.iwa"
+    low.write_text("spec p=3 k=2 N=4 orders=3,3,3 d=1\nshift-trivial 3\n")
+    assert main(["run", str(low)]) == 3
+    assert "needs N >= 5" in capsys.readouterr().err

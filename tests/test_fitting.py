@@ -1,27 +1,39 @@
-"""Fitting ideals: oracle agreement, functoriality, duality."""
+"""Fitting ideals: oracle agreement, functoriality, duality, lifted presentations."""
 
+from itertools import combinations
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwafit import (
     GroupRingSpec,
     Ideal,
     PresentedModule,
     RingMatrix,
+    ShiftRequest,
     SpecMismatchError,
     direct_sum,
     fitting_ideal,
     fitting_ideal_naive,
+    from_vector,
     ideal_equal,
     ideal_mul,
     lift_presentation,
+    lifted_fitting_ideal,
     matrix_from_rows,
+    one,
+    resolution_complex,
     scale_ideal,
+    shift_trivial,
     transpose_dual,
     tvar,
     unit_ideal,
     zero,
     zero_ideal,
 )
+from iwafit.fitting import _minors_by_size
 
 from conftest import random_element
 
@@ -142,3 +154,137 @@ def test_fitting_annihilates_module(rng):
             for j in range(2):
                 expected = det if i == j else zero(spec)
                 assert prod.at(i, j) == expected
+
+
+# --------------------------------------------------------------------------
+# Graded Fitting ideals of presentations lifted by one T variable
+
+
+def sparse_matrix(spec, a, b, seed, zero_cols, terms):
+    """a x b matrix with at most ``terms`` monomials per entry; the columns
+    in ``zero_cols`` are zero."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(a):
+        row = []
+        for j in range(b):
+            vec = np.zeros(spec.size, dtype=np.int64)
+            if j not in zero_cols:
+                idx = rng.integers(0, spec.size, size=int(rng.integers(0, terms + 1)))
+                vec[idx] = rng.integers(0, spec.modulus, size=len(idx))
+            row.append(from_vector(spec, vec))
+        rows.append(row)
+    if a == 0:
+        return RingMatrix(spec, 0, b, ())
+    return matrix_from_rows(spec, rows)
+
+
+@st.composite
+def lifted_cases(draw):
+    orders = draw(st.sampled_from([(3,), (3, 3)]))
+    d = draw(st.sampled_from([1, 2]))
+    N = draw(st.integers(2, 5))
+    a = draw(st.integers(1, 4))
+    b = draw(st.integers(0, 5))
+    zero_cols = draw(st.sets(st.integers(0, 4), max_size=2))
+    t_power = draw(st.sampled_from((0, 0, 1, 2)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    full = GroupRingSpec(3, 2, orders, d, N)
+    sub = GroupRingSpec(3, 2, orders, d - 1, N)
+    return full, sparse_matrix(sub, a, b, seed, zero_cols, terms=6), t_power
+
+
+def generic_lifted(m, full, t_power, fitting=fitting_ideal):
+    td = tvar(full, full.d)
+    return scale_ideal(td ** t_power, fitting(lift_presentation(m, full, [td])))
+
+
+CASES = [
+    # b < a, a >= N, zero columns, empty shapes, and a 1 x 0 matrix (the
+    # presentation of N_0 over a trivial sub-ring)
+    (GroupRingSpec(3, 2, (3,), 1, 2), 3, 2, 0, set()),
+    (GroupRingSpec(3, 2, (3,), 1, 3), 4, 5, 1, {0, 2}),
+    (GroupRingSpec(3, 2, (3, 3), 1, 2), 4, 4, 0, set()),
+    (GroupRingSpec(3, 2, (3,), 2, 3), 0, 3, 2, set()),
+    (GroupRingSpec(3, 2, (3,), 1, 4), 1, 0, 0, set()),
+    (GroupRingSpec(3, 2, (3,), 1, 4), 3, 4, 0, {0, 1, 2, 3}),
+]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=lifted_cases())
+def test_lifted_matches_generic_fitting(case):
+    full, h, t_power = case
+    m = PresentedModule(h)
+    assert lifted_fitting_ideal(m, full, t_power).canonical == \
+        generic_lifted(m, full, t_power).canonical
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(case=lifted_cases())
+def test_lifted_matches_cofactor_oracle(case):
+    full, h, _ = case
+    m = PresentedModule(h)
+    assert lifted_fitting_ideal(m, full).canonical == \
+        generic_lifted(m, full, 0, fitting_ideal_naive).canonical
+
+
+@pytest.mark.parametrize("full, a, b, t_power, zero_cols", CASES)
+def test_lifted_boundary_shapes(full, a, b, t_power, zero_cols):
+    sub = GroupRingSpec(full.p, full.k, full.orders, full.d - 1, full.N)
+    m = PresentedModule(sparse_matrix(sub, a, b, 7, zero_cols, terms=4))
+    got = lifted_fitting_ideal(m, full, t_power)
+    assert got.canonical == generic_lifted(m, full, t_power, fitting_ideal_naive).canonical
+    # the T_d-power of every size j <= a - N + t_power vanishes
+    if a - min(a, b) + t_power >= full.N:
+        assert got.is_zero()
+
+
+def test_lifted_wide_modulus(rng):
+    full = GroupRingSpec(3, 21, (3,), 1, 3)
+    sub = GroupRingSpec(3, 21, (3,), 0, 3)
+    assert full.dtype() is object
+    h = random_matrix(sub, 2, 3, rng)
+    m = PresentedModule(h)
+    assert ideal_equal(lifted_fitting_ideal(m, full, 1), generic_lifted(m, full, 1))
+
+
+def test_lifted_validates_specs(rng):
+    sub = GroupRingSpec(3, 2, (3,), 1, 3)
+    m = PresentedModule(random_matrix(sub, 1, 1, rng))
+    with pytest.raises(SpecMismatchError):
+        lifted_fitting_ideal(m, GroupRingSpec(3, 2, (3,), 3, 3))  # two more T
+    with pytest.raises(SpecMismatchError):
+        lifted_fitting_ideal(m, GroupRingSpec(3, 2, (9,), 2, 3))
+    with pytest.raises(ValueError):
+        lifted_fitting_ideal(m, GroupRingSpec(3, 2, (3,), 2, 3), -1)
+
+
+def test_minors_by_size_spans_every_size(rng):
+    spec = GroupRingSpec(3, 2, (3,), 1, 3)
+    h = random_matrix(spec, 3, 4, rng)
+    by_size = _minors_by_size(h, 0)
+    assert by_size[0] == [one(spec)]
+    assert len(by_size[1]) == sum(not h.at(i, j).is_zero()
+                                  for i in range(3) for j in range(4))
+    for j in (2, 3):
+        # the j x j minors of h are the maximal minors of its j-row blocks
+        blocks = [PresentedModule(matrix_from_rows(
+            spec, [[h.at(i, c) for c in range(4)] for i in rows]))
+            for rows in combinations(range(3), j)]
+        gens = [g for blk in blocks for g in fitting_ideal_naive(blk).generators]
+        assert ideal_equal(Ideal(spec, by_size[j]), Ideal(spec, gens))
+    assert _minors_by_size(h, 3)[2] == []
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_shift_trivial_matches_generic_lift(n):
+    spec = GroupRingSpec(3, 2, (3, 3), 1, 5)
+    sub = GroupRingSpec(3, 2, (3, 3), 0, 5)
+    complex_ = resolution_complex(sub, n + 1)
+    t = sum((-1) ** (n + j) * complex_.ranks[j] for j in range(n))
+    m = PresentedModule(complex_.boundary(n + 1))
+    expected = generic_lifted(m, spec, max(t, 0))
+    value = shift_trivial(ShiftRequest(spec, n))
+    assert value.numerator.canonical == expected.canonical
+    assert value.denominator == tvar(spec, 1) ** max(-t, 0)

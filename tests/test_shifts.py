@@ -118,3 +118,21 @@ def test_shift_from_sequence_rejects_bad_generator():
         shift_from_sequence(SequenceData(((P1, t * t),), N, 1))
     with pytest.raises(ValueError):
         SequenceData(((P1, t),), N, 2)
+
+
+def test_precision_error_is_raised_before_minor_work():
+    # n = 3 over three cyclic factors has denominator T^4, which vanishes at
+    # N = 4; the error must come from the complex ranks, not after the minors.
+    import time
+
+    from iwafit import PrecisionError
+
+    spec = GroupRingSpec(3, 4, (3, 3, 3), 1, 4)
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match="N >= 5") as info:
+        shift_trivial(ShiftRequest(spec, 3))
+    assert time.perf_counter() - start < 1.0
+    assert info.value.needed_N == 5
+    # one more unit of precision is enough
+    value = shift_trivial(ShiftRequest(GroupRingSpec(3, 2, (3, 3, 3), 1, 5), 3))
+    assert value.denominator == tvar(value.spec, 1) ** 4
