@@ -51,10 +51,8 @@ class UsageError(IwafitError):
 class Session:
     spec: GroupRingSpec | None = None
     bindings: dict = field(default_factory=dict)
-    provenance: list = field(default_factory=list)
     precision_override: tuple[int, int] | None = None
     assume_nzd: bool = False
-    jobs: int = 1
 
     def require_spec(self) -> GroupRingSpec:
         if self.spec is None:
@@ -313,7 +311,6 @@ def run_command(line: str, session: Session) -> dict:
     else:
         raise UsageError(f"unknown command {cmd!r}")
 
-    session.provenance.append((line.strip(), out["certified_precision"]))
     return out
 
 
@@ -383,8 +380,6 @@ def main(argv=None) -> int:
                         help="override the working precision")
     parser.add_argument("--assume-nzd", action="store_true",
                         help="accept denominators without a non-zero-divisor certificate")
-    parser.add_argument("--jobs", type=int, default=1, metavar="n",
-                        help="parallelism hint (currently single-threaded)")
     sub = parser.add_subparsers(dest="mode")
     run_p = sub.add_parser("run", help="execute a session file")
     run_p.add_argument("file")
@@ -393,7 +388,7 @@ def main(argv=None) -> int:
     sub.add_parser("verify-paper", help="run the worked-example regression report")
 
     args = parser.parse_args(argv)
-    session = Session(assume_nzd=args.assume_nzd, jobs=max(1, args.jobs))
+    session = Session(assume_nzd=args.assume_nzd)
     try:
         if args.precision is not None:
             session.precision_override = parse_precision(args.precision)

@@ -1,82 +1,107 @@
 """Standard resolutions of the trivial module and their tensor products.
 
-A chain complex is a list of free-module ranks together with boundary
-matrices d_j: C_j -> C_(j-1).  The building blocks are the periodic
-cyclic-group complex (boundaries alternate delta_i - 1 and the norm) and
-the two-term complex for a T variable; the total complex of a tensor
-product uses the Koszul sign rule d(x (x) y) = dx (x) y + (-1)^deg(x) x (x) dy.
-Complexes are built to a finite requested length; only finitely many terms
-are ever consumed downstream.
+A matrix of ring elements is one dense coefficient array of shape
+(nrows, ncols, B), B the ring's basis size.  A chain complex is a list of
+free-module ranks together with boundary matrices d_j: C_j -> C_(j-1).
+The building blocks are the periodic cyclic-group complex (boundaries
+alternate delta_i - 1 and the norm) and the two-term complex for a T
+variable; the total complex of a tensor product uses the Koszul sign rule
+d(x (x) y) = dx (x) y + (-1)^deg(x) x (x) dy.  ``tensor`` folds its factors
+into the tensor unit, so every total complex has exactly the requested
+length, with rank 0 past the end of a short factor; only finitely many
+terms are ever consumed downstream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import gcd
+
+import numpy as np
 
 from .errors import SpecMismatchError
-from .groupring import GroupRingSpec, RingElement, delta, mul, norm_element, tvar, zero
+from .groupring import (
+    GroupRingSpec,
+    RingElement,
+    _zeros,
+    delta,
+    multiplication_rows,
+    norm_element,
+    tvar,
+)
 
 
 @dataclass(frozen=True)
 class RingMatrix:
-    """Rectangular matrix of ring elements, row-major."""
+    """Rectangular matrix of ring elements as a read-only (nrows, ncols, B)
+    coefficient array in the spec's residue dtype."""
 
     spec: GroupRingSpec
-    nrows: int
-    ncols: int
-    entries: tuple
+    coeffs: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        if len(self.entries) != self.nrows * self.ncols:
-            raise ValueError("entry count does not match the shape")
-        for e in self.entries:
-            if e.spec != self.spec:
-                raise SpecMismatchError("matrix entry lives on the wrong spec")
+        coeffs = np.asarray(self.coeffs, dtype=self.spec.dtype())
+        if coeffs.ndim != 3 or coeffs.shape[2] != self.spec.size:
+            raise ValueError("coefficient array must have shape (nrows, ncols, spec.size)")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, RingMatrix):
+            return NotImplemented
+        return self.spec == other.spec and np.array_equal(self.coeffs, other.coeffs)
+
+    __hash__ = None
+
+    @property
+    def nrows(self) -> int:
+        return self.coeffs.shape[0]
+
+    @property
+    def ncols(self) -> int:
+        return self.coeffs.shape[1]
 
     def at(self, i: int, j: int) -> RingElement:
-        return self.entries[i * self.ncols + j]
+        return RingElement(self.spec, self.coeffs[i, j])
 
     def transpose(self) -> "RingMatrix":
-        ent = tuple(self.at(i, j) for j in range(self.ncols) for i in range(self.nrows))
-        return RingMatrix(self.spec, self.ncols, self.nrows, ent)
+        return RingMatrix(self.spec, self.coeffs.swapaxes(0, 1))
 
     def compose(self, other: "RingMatrix") -> "RingMatrix":
         """Matrix product self * other."""
+        if self.spec != other.spec:
+            raise SpecMismatchError("matrices live on different specs")
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions differ")
-        ent = []
-        for i in range(self.nrows):
-            for j in range(other.ncols):
-                acc = zero(self.spec)
-                for t in range(self.ncols):
-                    acc = acc + mul(self.at(i, t), other.at(t, j))
-                ent.append(acc)
-        return RingMatrix(self.spec, self.nrows, other.ncols, tuple(ent))
+        out = _zeros(self.spec, self.nrows, other.ncols)
+        # Row i of the product is the sum over t of other's row t times the
+        # entry (i, t): a coefficient row y times multiplication_rows(x) is
+        # the coefficient row of x * y.
+        for i, t in zip(*np.nonzero(self.coeffs.any(axis=2))):
+            out[i] = (out[i] + other.coeffs[t] @ multiplication_rows(self.at(i, t))) \
+                % self.spec.modulus
+        return RingMatrix(self.spec, out)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return not np.any(self.coeffs)
 
 
 def matrix_from_rows(spec: GroupRingSpec, rows) -> RingMatrix:
     rows = [list(r) for r in rows]
-    nrows = len(rows)
+    if any(e.spec != spec for r in rows for e in r):
+        raise SpecMismatchError("matrix entry lives on the wrong spec")
     ncols = len(rows[0]) if rows else 0
-    return RingMatrix(spec, nrows, ncols, tuple(e for r in rows for e in r))
+    coeffs = np.array([[e.coeffs for e in r] for r in rows], dtype=spec.dtype())
+    return RingMatrix(spec, coeffs.reshape(len(rows), ncols, spec.size))
 
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Graded free modules with boundaries d_j: C_j -> C_(j-1), j >= 1.
-
-    ``degree_labels[j]`` gives, for each basis element of C_j, the tuple of
-    degrees contributed by each tensor factor (a 1-tuple for the atomic
-    complexes).
-    """
+    """Graded free modules with boundaries d_j: C_j -> C_(j-1), j >= 1."""
 
     spec: GroupRingSpec
     ranks: tuple[int, ...]
     boundaries: tuple[RingMatrix, ...]
-    degree_labels: tuple[tuple, ...]
 
     def __post_init__(self):
         for j, d in enumerate(self.boundaries, start=1):
@@ -107,26 +132,19 @@ def cyclic_complex(spec: GroupRingSpec, i: int, length: int,
     if length < 1:
         raise ValueError("length must be >= 1")
     m = spec.orders[i - 1]
-    from math import gcd
-
     if gcd(generator_power, m) != 1:
         raise ValueError("generator power must be coprime to the factor order")
-    tau = delta(spec, i, generator_power) - delta(spec, i, 0)
-    norm = norm_element(spec, [i])
-    boundaries = tuple(
-        RingMatrix(spec, 1, 1, (tau if j % 2 == 1 else norm,))
-        for j in range(1, length + 1)
-    )
-    labels = tuple(((j,),) for j in range(length + 1))
-    return ChainComplex(spec, (1,) * (length + 1), boundaries, labels)
+    tau = matrix_from_rows(spec, [[delta(spec, i, generator_power) - delta(spec, i, 0)]])
+    norm = matrix_from_rows(spec, [[norm_element(spec, [i])]])
+    boundaries = tuple(tau if j % 2 == 1 else norm for j in range(1, length + 1))
+    return ChainComplex(spec, (1,) * (length + 1), boundaries)
 
 
 def t_complex(spec: GroupRingSpec, j: int) -> ChainComplex:
     """The two-term complex 0 -> R --T_j--> R -> 0."""
     if not 1 <= j <= spec.d:
         raise ValueError(f"T-variable index {j} out of range")
-    d1 = RingMatrix(spec, 1, 1, (tvar(spec, j),))
-    return ChainComplex(spec, (1, 1), (d1,), (((0,),), ((1,),)))
+    return ChainComplex(spec, (1, 1), (matrix_from_rows(spec, [[tvar(spec, j)]]),))
 
 
 def _tensor_pair(C: ChainComplex, D: ChainComplex, length: int) -> ChainComplex:
@@ -145,52 +163,35 @@ def _tensor_pair(C: ChainComplex, D: ChainComplex, length: int) -> ChainComplex:
                     layer.append((i, alpha, j, beta))
         basis.append(layer)
     ranks = tuple(len(layer) for layer in basis)
-    labels = tuple(
-        tuple(C.degree_labels[i][alpha] + D.degree_labels[j][beta]
-              for (i, alpha, j, beta) in layer)
-        for layer in basis
-    )
     boundaries = []
     for n in range(1, length + 1):
         pos = {key: r for r, key in enumerate(basis[n - 1])}
-        cols = {}
+        out = _zeros(spec, ranks[n - 1], ranks[n])
+        # The dC and dD parts of a column land in rows of first-factor
+        # degree i - 1 and i respectively, so they never share an entry.
         for c, (i, alpha, j, beta) in enumerate(basis[n]):
             if i >= 1:
-                dC = C.boundary(i)
-                for ap in range(C.ranks[i - 1]):
-                    entry = dC.at(ap, alpha)
-                    if not entry.is_zero():
-                        cols[(pos[(i - 1, ap, j, beta)], c)] = entry
+                rows = [pos[(i - 1, ap, j, beta)] for ap in range(C.ranks[i - 1])]
+                out[rows, c] = C.boundary(i).coeffs[:, alpha]
             if j >= 1:
-                dD = D.boundary(j)
-                sign = -1 if i % 2 else 1
-                for bp in range(D.ranks[j - 1]):
-                    entry = dD.at(bp, beta)
-                    if not entry.is_zero():
-                        r = pos[(i, alpha, j - 1, bp)]
-                        val = entry if sign == 1 else -entry
-                        cols[(r, c)] = cols.get((r, c), zero(spec)) + val
-        ent = tuple(
-            cols.get((r, c), zero(spec))
-            for r in range(ranks[n - 1])
-            for c in range(ranks[n])
-        )
-        boundaries.append(RingMatrix(spec, ranks[n - 1], ranks[n], ent))
-    return ChainComplex(spec, ranks, tuple(boundaries), labels)
+                rows = [pos[(i, alpha, j - 1, bp)] for bp in range(D.ranks[j - 1])]
+                entries = D.boundary(j).coeffs[:, beta]
+                out[rows, c] = (-entries) % spec.modulus if i % 2 else entries
+        boundaries.append(RingMatrix(spec, out))
+    return ChainComplex(spec, ranks, tuple(boundaries))
 
 
 def trivial_complex(spec: GroupRingSpec, length: int) -> ChainComplex:
     """The complex concentrated in degree 0 with rank 1 (tensor unit)."""
     ranks = (1,) + (0,) * length
     boundaries = tuple(
-        RingMatrix(spec, ranks[j - 1], ranks[j], ()) for j in range(1, length + 1)
+        RingMatrix(spec, _zeros(spec, ranks[j - 1], ranks[j])) for j in range(1, length + 1)
     )
-    labels = (((0,),),) + tuple(() for _ in range(length))
-    return ChainComplex(spec, ranks, boundaries, labels)
+    return ChainComplex(spec, ranks, boundaries)
 
 
 def tensor(factors, length: int) -> ChainComplex:
-    """Total complex of a list of chain complexes, truncated at ``length``."""
+    """Total complex of a list of chain complexes, with terms 0..``length``."""
     factors = list(factors)
     if not factors:
         raise ValueError("tensor needs at least one factor")
@@ -198,14 +199,7 @@ def tensor(factors, length: int) -> ChainComplex:
     for f in factors:
         if f.spec != spec:
             raise SpecMismatchError("tensor factors live on different specs")
-    total = factors[0]
-    for f in factors[1:]:
+    total = trivial_complex(spec, length)
+    for f in factors:
         total = _tensor_pair(total, f, length)
-    if total.length > length:
-        total = ChainComplex(
-            spec,
-            total.ranks[: length + 1],
-            total.boundaries[:length],
-            total.degree_labels[: length + 1],
-        )
     return total

@@ -30,9 +30,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .complexes import RingMatrix, matrix_from_rows
+from .complexes import RingMatrix
 from .errors import SpecMismatchError
-from .groupring import GroupRingSpec, RingElement, mul, one, zero
+from .groupring import GroupRingSpec, RingElement, _zeros, apply_hom, mul, one, zero
 from .ideals import Ideal, distinct_nonzero, unit_ideal, zero_ideal
 
 
@@ -58,6 +58,9 @@ def _minors_by_size(h: RingMatrix, jmin: int) -> list[list[RingElement]]:
     found: list[list[RingElement]] = [[] for _ in range(a + 1)]
     if jmin <= 0:
         found[0].append(one(h.spec))
+    # Each column's entries, None where zero, read once for the whole walk.
+    nonzero = h.coeffs.any(axis=2)
+    columns = [[h.at(i, c) if nonzero[i, c] else None for i in range(a)] for c in range(b)]
 
     def extend(col: int, state: dict[int, RingElement], depth: int):
         # state maps row-bitmasks of size `depth` to the non-zero
@@ -65,7 +68,7 @@ def _minors_by_size(h: RingMatrix, jmin: int) -> list[list[RingElement]]:
         # tried while enough columns remain after it to reach size jmin.
         for c in range(col, b - max(jmin - depth, 1) + 1):
             new_state: dict[int, RingElement] = {}
-            column = [h.at(i, c) for i in range(a)]
+            column = columns[c]
             for mask, det in state.items():
                 sign = 1
                 for i in range(a):
@@ -74,7 +77,7 @@ def _minors_by_size(h: RingMatrix, jmin: int) -> list[list[RingElement]]:
                         sign = -sign
                         continue
                     entry = column[i]
-                    if entry.is_zero():
+                    if entry is None:
                         continue
                     term = mul(det, entry) if sign == 1 else -mul(det, entry)
                     new_mask = mask | bit
@@ -120,13 +123,22 @@ def lifted_fitting_ideal(m: PresentedModule, target: GroupRingSpec,
         raise SpecMismatchError("source spec is not the target without its last T variable")
     a, N = h.nrows, target.N
     by_size = _minors_by_size(h, a + t_power - N + 1)
-    gens = []
-    for j, minors in enumerate(by_size):
-        for x in distinct_nonzero(minors):
-            coeffs = np.zeros((src.size, N), dtype=target.dtype())
-            coeffs[:, a - j + t_power] = x.coeffs
-            gens.append(RingElement(target, coeffs.reshape(target.size)))
+    gens = [RingElement(target, _place(x.coeffs, target, a - j + t_power))
+            for j, minors in enumerate(by_size) for x in distinct_nonzero(minors)]
     return Ideal(target, gens)
+
+
+def _place(coeffs: np.ndarray, target: GroupRingSpec, degree: int = 0) -> np.ndarray:
+    """Coefficients over ``target`` without its trailing T variables, lifted
+    to ``target`` and multiplied by T_d^degree, T_d the last variable.
+
+    The trailing T variables are the last radices, so the lift puts the
+    source coefficients in one column of a (..., source size, N^extra) array.
+    """
+    lead, size = coeffs.shape[:-1], coeffs.shape[-1]
+    out = _zeros(target, *lead).reshape(*lead, size, target.size // size)
+    out[..., degree] = coeffs
+    return out.reshape(*lead, target.size)
 
 
 def fitting_ideal_naive(m: PresentedModule) -> Ideal:
@@ -176,19 +188,13 @@ def lift_presentation(m: PresentedModule, target: GroupRingSpec,
         if f.spec != target:
             raise SpecMismatchError("kill element lives on the wrong spec")
 
-    def lift_elem(x: RingElement) -> RingElement:
-        from .groupring import make_element
-
-        pad = (0,) * (target.d - src.d)
-        return make_element(target, [(exps + pad, c) for exps, c in x.terms()])
-
-    a, b = h.nrows, h.ncols
-    rows = [[lift_elem(h.at(i, j)) for j in range(b)] for i in range(a)]
+    a = h.nrows
+    blocks = [_place(h.coeffs, target)]
     for f in killed:
-        for i in range(a):
-            rows[i].extend(f if t == i else zero(target) for t in range(a))
-    return PresentedModule(matrix_from_rows(target, rows) if a else
-                           RingMatrix(target, 0, b + len(killed) * a, ()))
+        block = _zeros(target, a, a)
+        block[range(a), range(a)] = f.coeffs
+        blocks.append(block)
+    return PresentedModule(RingMatrix(target, np.concatenate(blocks, axis=1)))
 
 
 def transpose_dual(m: PresentedModule) -> PresentedModule:
@@ -203,19 +209,16 @@ def direct_sum(m1: PresentedModule, m2: PresentedModule) -> PresentedModule:
     if m1.spec != m2.spec:
         raise SpecMismatchError("summands live on different specs")
     h1, h2 = m1.presentation, m2.presentation
-    spec = m1.spec
-    rows = []
-    for i in range(h1.nrows):
-        rows.append([h1.at(i, j) for j in range(h1.ncols)] + [zero(spec)] * h2.ncols)
-    for i in range(h2.nrows):
-        rows.append([zero(spec)] * h1.ncols + [h2.at(i, j) for j in range(h2.ncols)])
-    return PresentedModule(matrix_from_rows(spec, rows))
+    out = _zeros(m1.spec, h1.nrows + h2.nrows, h1.ncols + h2.ncols)
+    out[:h1.nrows, :h1.ncols] = h1.coeffs
+    out[h1.nrows:, h1.ncols:] = h2.coeffs
+    return PresentedModule(RingMatrix(m1.spec, out))
 
 
 def apply_hom_to_presentation(hom, m: PresentedModule) -> PresentedModule:
     """Entrywise image of the presentation under a ring homomorphism."""
-    from .groupring import apply_hom
-
     h = m.presentation
-    ent = tuple(apply_hom(hom, e) for e in h.entries)
-    return PresentedModule(RingMatrix(hom.target, h.nrows, h.ncols, ent))
+    out = _zeros(hom.target, h.nrows, h.ncols)
+    for i, j in np.ndindex(h.nrows, h.ncols):
+        out[i, j] = apply_hom(hom, h.at(i, j)).coeffs
+    return PresentedModule(RingMatrix(hom.target, out))

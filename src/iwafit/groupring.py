@@ -125,20 +125,6 @@ def _mul_table(spec: GroupRingSpec) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _generator_shift(spec: GroupRingSpec, gen_index: int) -> np.ndarray:
-    """Index map for multiplication by the ``gen_index``-th basis generator.
-
-    Generators are delta_1..delta_s then T_1..T_d.  Returns an array t with
-    t[i] = index of (generator * monomial_i), or ``size`` if the product
-    truncates away.
-    """
-    exps = [0] * (spec.s + spec.d)
-    exps[gen_index] = 1
-    g = spec.index_of(tuple(exps))
-    return _mul_table(spec)[g]
-
-
 @dataclass(frozen=True)
 class RingElement:
     """Dense element of the truncated group ring."""
@@ -210,12 +196,9 @@ def _check_specs(x, y):
         raise SpecMismatchError("elements live on different ring specs")
 
 
-def _zeros(spec: GroupRingSpec) -> np.ndarray:
-    if spec.dtype() is object:
-        arr = np.empty(spec.size, dtype=object)
-        arr[:] = 0
-        return arr
-    return np.zeros(spec.size, dtype=np.int64)
+def _zeros(spec: GroupRingSpec, *lead: int) -> np.ndarray:
+    """Zero coefficient array of shape (*lead, spec.size) in the spec's dtype."""
+    return np.zeros((*lead, spec.size), dtype=spec.dtype())
 
 
 def zero(spec: GroupRingSpec) -> RingElement:
@@ -292,16 +275,6 @@ def mul(x: RingElement, y: RingElement) -> RingElement:
         # indexing is safe for all retained positions.
         acc[table[i]] += x.coeffs[i] * yc
     return RingElement(spec, acc[:B] % spec.modulus)
-
-
-def mul_by_generator(vec: np.ndarray, spec: GroupRingSpec, gen_index: int, modulus: int) -> np.ndarray:
-    """Multiply a raw coefficient vector by the ``gen_index``-th generator."""
-    table = _generator_shift(spec, gen_index)
-    out = np.zeros(spec.size + 1, dtype=vec.dtype) if vec.dtype != object else np.empty(spec.size + 1, dtype=object)
-    if vec.dtype == object:
-        out[:] = 0
-    out[table] = vec
-    return out[: spec.size] % modulus
 
 
 def multiplication_rows(x: RingElement) -> np.ndarray:

@@ -239,6 +239,5 @@ def nzd_certificate(f: RingElement) -> str:
     for chi in chars:
         if char_eval(chi, f).is_zero():
             return "inconclusive"
-    if not chars:  # trivial group: f != 0 suffices over (Z/p^k)[[T]]
-        return "certified"
+    # With no characters (the trivial group), f != 0 suffices over (Z/p^k)[[T]].
     return "certified"

@@ -209,7 +209,7 @@ def check_euler_factors(k: int = 4, N: int = 6, full_grid: bool = False) -> list
     return out
 
 
-def run_paper_checks(k: int = 4, N: int = 6, include_slow: bool = True) -> list[CheckResult]:
+def run_paper_checks(k: int = 4, N: int = 6) -> list[CheckResult]:
     """All example checks at the given precision, in a fixed order."""
     results = []
     results += check_shift_s1(k, N, p=3, m=3)
@@ -220,8 +220,7 @@ def run_paper_checks(k: int = 4, N: int = 6, include_slow: bool = True) -> list[
     results += check_degree_two_kernel_identity(k, N)
     results += check_fitting_separation(k, N)
     results += check_euler_factors(k, N)
-    if include_slow:
-        results += check_shift_d2_bicyclic(min(k, 3), min(N, 4))
+    results += check_shift_d2_bicyclic(min(k, 3), min(N, 4))
     return results
 
 

@@ -77,7 +77,7 @@ def _sub_spec(spec: GroupRingSpec) -> GroupRingSpec:
 def resolution_complex(spec: GroupRingSpec, length: int,
                        generator_powers=None, factor_order=None) -> ChainComplex:
     """Tensor complex of the cyclic resolutions and the T_1..T_d two-term
-    complexes over ``spec``, truncated at ``length``."""
+    complexes over ``spec``, with terms 0..``length``."""
     order = list(factor_order) if factor_order else list(range(1, spec.s + 1))
     powers = list(generator_powers) if generator_powers else [1] * spec.s
     factors = [cyclic_complex(spec, i, length, powers[i - 1]) for i in order]
@@ -122,17 +122,7 @@ def _shift_nonnegative(req: ShiftRequest) -> FractionalIdeal:
             f"shift n={n} for orders {spec.orders}, d={spec.d} has denominator "
             f"T{spec.d}^{-t}, which vanishes at N={spec.N}; it needs N >= {1 - t}",
             needed_N=1 - t)
-    if n == 0:
-        # N_0 = Z_p itself, presented by d_1 (the empty matrix when s = d = 0
-        # over the sub-spec, in which case lifting supplies the T_d column).
-        h_sub = complex_.boundary(1) if complex_.length >= 1 else None
-    else:
-        h_sub = complex_.boundary(n + 1)
-    if h_sub is None:
-        from .complexes import RingMatrix
-
-        h_sub = RingMatrix(sub, 1, 0, ())
-    fitt = lifted_fitting_ideal(PresentedModule(h_sub), spec, max(t, 0))
+    fitt = lifted_fitting_ideal(PresentedModule(complex_.boundary(n + 1)), spec, max(t, 0))
     if t >= 0:
         return FractionalIdeal(fitt, one(spec), "certified")
     den = tvar(spec, spec.d) ** (-t)
@@ -145,7 +135,7 @@ class SequenceData:
 
     Each P_i comes with a declared principal generator g_i of its Fitting
     ideal; exactness over the exact ring is the caller's obligation and is
-    recorded in the result's provenance.
+    not checked.
     """
 
     P_list: tuple  # pairs (PresentedModule, RingElement)

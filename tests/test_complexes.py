@@ -1,17 +1,20 @@
 """Resolutions, tensor products and the displayed boundary matrices."""
 
+import numpy as np
 import pytest
 
 from iwafit import (
     GroupRingSpec,
     Ideal,
     PresentedModule,
+    RingMatrix,
     SpecMismatchError,
     cyclic_complex,
     delta,
     fitting_ideal,
     ideal_equal,
     matrix_from_rows,
+    mul,
     norm_element,
     one,
     t_complex,
@@ -21,6 +24,8 @@ from iwafit import (
     zero,
 )
 from iwafit.shifts import resolution_complex
+
+from conftest import random_element
 
 
 def binomial(n, r):
@@ -115,7 +120,59 @@ def test_trivial_complex_is_tensor_unit():
     both = tensor([U, C], 3)
     assert both.ranks == C.ranks
     for j in range(1, 4):
-        assert both.boundary(j).entries == C.boundary(j).entries
+        assert both.boundary(j) == C.boundary(j)
+
+
+def test_short_factors_fill_the_requested_length():
+    spec = GroupRingSpec(3, 2, (3,), 2, 3)
+    C = tensor([t_complex(spec, 1)], 4)
+    assert C.ranks == (1, 1, 0, 0, 0)
+    assert C.boundary(1) == t_complex(spec, 1).boundary(1)
+    assert [(C.boundary(j).nrows, C.boundary(j).ncols) for j in (2, 3, 4)] == \
+        [(1, 0), (0, 0), (0, 0)]
+    both = tensor([t_complex(spec, 1), t_complex(spec, 2)], 3)
+    assert both.ranks == (1, 2, 1, 0)
+
+
+def test_ring_matrix_is_one_coefficient_array():
+    spec = GroupRingSpec(3, 2, (3,), 1, 3)
+    with pytest.raises(ValueError):
+        RingMatrix(spec, np.zeros((2, 2, spec.size + 1), dtype=np.int64))
+    with pytest.raises(ValueError):
+        RingMatrix(spec, np.zeros((2, spec.size), dtype=np.int64))
+    t, z = tvar(spec, 1), zero(spec)
+    m = matrix_from_rows(spec, [[t, z, one(spec)], [z, t * t, z]])
+    assert (m.nrows, m.ncols) == (2, 3)
+    assert m.coeffs.shape == (2, 3, spec.size)
+    assert m.coeffs.dtype == np.int64
+    assert not m.coeffs.flags.writeable
+    assert m.at(1, 1) == t * t
+    assert m.transpose().at(2, 0) == one(spec)
+    assert m == matrix_from_rows(spec, [[t, z, one(spec)], [z, t * t, z]])
+    assert m != m.transpose()
+    assert not m.is_zero()
+    assert matrix_from_rows(spec, [[z, z]]).is_zero()
+    other = GroupRingSpec(3, 2, (3,), 1, 4)
+    with pytest.raises(SpecMismatchError):
+        matrix_from_rows(spec, [[t, tvar(GroupRingSpec(5, 2, (3,), 1, 3), 1)]])
+    assert matrix_from_rows(other, []).coeffs.shape == (0, 0, other.size)
+
+
+@pytest.mark.parametrize("k", (2, 21))
+def test_compose_matches_entrywise_products(k, rng):
+    spec = GroupRingSpec(3, k, (3,), 1, 3)
+    assert (spec.dtype() is object) == (k == 21)
+    x = [[random_element(spec, rng) for _ in range(3)] for _ in range(2)]
+    y = [[random_element(spec, rng) for _ in range(2)] for _ in range(3)]
+    y[1][0] = zero(spec)
+    prod = matrix_from_rows(spec, x).compose(matrix_from_rows(spec, y))
+    assert (prod.nrows, prod.ncols) == (2, 2)
+    for i in range(2):
+        for j in range(2):
+            expected = zero(spec)
+            for t in range(3):
+                expected = expected + mul(x[i][t], y[t][j])
+            assert prod.at(i, j) == expected
 
 
 def test_validation():

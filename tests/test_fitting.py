@@ -14,6 +14,8 @@ from iwafit import (
     RingMatrix,
     ShiftRequest,
     SpecMismatchError,
+    apply_hom,
+    apply_hom_to_presentation,
     direct_sum,
     fitting_ideal,
     fitting_ideal_naive,
@@ -22,13 +24,16 @@ from iwafit import (
     ideal_mul,
     lift_presentation,
     lifted_fitting_ideal,
+    make_element,
     matrix_from_rows,
     one,
+    quotient_hom,
     resolution_complex,
     scale_ideal,
     shift_trivial,
     transpose_dual,
     tvar,
+    twist_hom,
     unit_ideal,
     zero,
     zero_ideal,
@@ -56,9 +61,9 @@ def test_matches_cofactor_oracle(rng):
 
 def test_edge_shapes():
     spec = GroupRingSpec(3, 2, (3,), 1, 3)
-    empty = RingMatrix(spec, 0, 3, ())
+    empty = RingMatrix(spec, np.zeros((0, 3, spec.size), dtype=np.int64))
     assert ideal_equal(fitting_ideal(PresentedModule(empty)), unit_ideal(spec))
-    wide = RingMatrix(spec, 2, 1, (tvar(spec, 1), zero(spec)))
+    wide = matrix_from_rows(spec, [[tvar(spec, 1)], [zero(spec)]])
     assert ideal_equal(fitting_ideal(PresentedModule(wide)), zero_ideal(spec))
 
 
@@ -78,6 +83,25 @@ def test_direct_sum_multiplies(rng):
         m2 = PresentedModule(random_matrix(spec, 1, 2, rng))
         total = fitting_ideal(direct_sum(m1, m2))
         assert ideal_equal(total, ideal_mul(fitting_ideal(m1), fitting_ideal(m2)))
+
+
+def test_direct_sum_is_block_diagonal(rng):
+    spec = GroupRingSpec(3, 2, (3,), 1, 3)
+    h1, h2 = random_matrix(spec, 2, 3, rng), random_matrix(spec, 2, 2, rng)
+    z = zero(spec)
+    expected = matrix_from_rows(spec, [
+        [h1.at(i, j) for j in range(3)] + [z, z] for i in range(2)] + [
+        [z, z, z] + [h2.at(i, j) for j in range(2)] for i in range(2)])
+    assert direct_sum(PresentedModule(h1), PresentedModule(h2)).presentation == expected
+
+
+def test_apply_hom_to_presentation_is_entrywise(rng):
+    spec = GroupRingSpec(3, 2, (3, 3), 1, 3)
+    h = random_matrix(spec, 2, 3, rng)
+    for hom in (quotient_hom(spec, kill_delta=[2]), twist_hom(spec, (4, 7), (4,))):
+        image = apply_hom_to_presentation(hom, PresentedModule(h)).presentation
+        assert image == matrix_from_rows(
+            hom.target, [[apply_hom(hom, h.at(i, j)) for j in range(3)] for i in range(2)])
 
 
 def test_square_transpose_invariance(rng):
@@ -125,6 +149,32 @@ def test_lift_presentation_appends_blocks(rng):
     assert lifted.presentation.at(0, 3).is_zero()
     # entries of h come through verbatim (with a zero T_2 exponent)
     assert lifted.presentation.at(0, 0).coeffs.sum() == h.at(0, 0).coeffs.sum()
+
+
+@pytest.mark.parametrize("k", (2, 21))
+@pytest.mark.parametrize("extra", (1, 2))
+def test_lift_presentation_matches_elementwise_lift(k, extra, rng):
+    # Each entry keeps its terms, with zero exponents for the new T
+    # variables; one f * identity block follows per kill element f.
+    sub = GroupRingSpec(3, k, (3,), 1, 3)
+    full = GroupRingSpec(3, k, (3,), 1 + extra, 3)
+    assert (full.dtype() is object) == (k == 21)
+    h = random_matrix(sub, 2, 3, rng)
+    killed = [tvar(full, 1 + v) for v in range(1, extra + 1)]
+    lifted = lift_presentation(PresentedModule(h), full, killed).presentation
+    assert (lifted.nrows, lifted.ncols) == (2, 3 + 2 * extra)
+    assert lifted.coeffs.dtype == full.dtype()
+    pad = (0,) * extra
+    for i in range(2):
+        for j in range(3):
+            expected = make_element(full, [(exps + pad, c) for exps, c in h.at(i, j).terms()])
+            assert lifted.at(i, j) == expected
+        for v, f in enumerate(killed):
+            for r in range(2):
+                assert lifted.at(i, 3 + 2 * v + r) == (f if r == i else zero(full))
+    empty = RingMatrix(sub, np.zeros((0, 3, sub.size), dtype=sub.dtype()))
+    assert lift_presentation(PresentedModule(empty), full, killed).presentation.coeffs.shape \
+        == (0, 3, full.size)
 
 
 def test_lift_presentation_validates_specs(rng):
@@ -175,7 +225,7 @@ def sparse_matrix(spec, a, b, seed, zero_cols, terms):
             row.append(from_vector(spec, vec))
         rows.append(row)
     if a == 0:
-        return RingMatrix(spec, 0, b, ())
+        return RingMatrix(spec, np.zeros((0, b, spec.size), dtype=np.int64))
     return matrix_from_rows(spec, rows)
 
 

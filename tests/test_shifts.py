@@ -19,6 +19,7 @@ from iwafit import (
     shift_from_sequence,
     shift_trivial,
     tvar,
+    unit_ideal,
     verify_thm01_identity,
 )
 from iwafit.errors import IwafitError
@@ -47,6 +48,17 @@ def test_trivial_group_shifts():
         assert frac_equal(shift_trivial(ShiftRequest(spec, n)), even).equal
     for n in (-3, -1, 1):
         assert frac_equal(shift_trivial(ShiftRequest(spec, n)), odd).equal
+
+
+@pytest.mark.parametrize("N", (2, 4, 6))
+@pytest.mark.parametrize("n", (-1, 1, 2, 3, 4))
+def test_trivial_group_d2_shifts_are_unit(n, N):
+    # Over the sub-ring the complex is the two-term T_1 complex; folded into
+    # the tensor unit it has a term (of rank 0) in every degree up to n + 1.
+    spec = GroupRingSpec(3, 2, (), 2, N)
+    verdict = frac_equal(shift_trivial(ShiftRequest(spec, n)), integral(unit_ideal(spec)))
+    assert verdict.equal
+    assert verdict.certified_t_precision > 0
 
 
 def test_two_periodicity_for_cyclic_d2():
