@@ -39,7 +39,7 @@ from .ideals import (
     integral,
     nzd_status,
 )
-from .parser import element_to_text, parse_element
+from .parser import element_to_text, lowest_degree, parse_element
 from .shifts import ShiftRequest, shift_trivial
 
 
@@ -78,12 +78,10 @@ def ideal_generators_text(I: Ideal) -> list[str]:
 
 
 def element_texts_sorted(elems) -> list[str]:
-    def degree_key(x: RingElement):
-        terms = x.terms()
-        deg = min(sum(e) for e, _ in terms) if terms else 0
-        return (deg, element_to_text(x))
-
-    return [element_to_text(x) for x in sorted(elems, key=degree_key)]
+    """Texts ordered by (lowest total degree of a non-zero delta/T
+    monomial, text); each element is printed once."""
+    keyed = sorted((lowest_degree(x), element_to_text(x)) for x in elems)
+    return [text for _, text in keyed]
 
 
 def _split_top_level(src: str, seps=",") -> list[str]:
@@ -148,6 +146,8 @@ def parse_value(src: str, session: Session):
             if depth == 0:
                 close = i
                 break
+        if close < 0:
+            raise UsageError(f"unbalanced parenthesis in ideal literal {src!r}")
         inner = src[1:close]
         rest = src[close + 1:].strip()
         gens = [parse_element(g, spec) for g in _split_top_level(inner)]

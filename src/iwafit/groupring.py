@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -58,21 +58,28 @@ class GroupRingSpec:
     def modulus(self) -> int:
         return self.p**self.k
 
-    @property
+    # The cached values below live in the instance dict, outside the
+    # dataclass fields, so __eq__, __hash__ and __repr__ (and with them the
+    # lru_cache keys) see only p, k, orders, d and N.
+    @cached_property
     def radices(self) -> tuple[int, ...]:
         return self.orders + (self.N,) * self.d
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return math.prod(self.radices) if self.radices else 1
+        return math.prod(self.radices)
 
     @property
     def group_size(self) -> int:
         return math.prod(self.orders) if self.orders else 1
 
-    def dtype(self):
+    @cached_property
+    def _dtype(self):
         # A convolution sums up to ``size`` products of two residues.
         return residue_dtype(self.modulus, self.size)
+
+    def dtype(self):
+        return self._dtype
 
     def index_of(self, exps: tuple[int, ...]) -> int:
         radices = self.radices

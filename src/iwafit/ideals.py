@@ -47,6 +47,13 @@ def distinct_nonzero(elements) -> list[RingElement]:
     return out
 
 
+def _nonzero_rows(rows: np.ndarray) -> np.ndarray:
+    """Drop the zero rows of a multiplication matrix (the products that
+    T-truncation kills); ``rows`` itself, not a copy, when there are none."""
+    keep = np.any(rows, axis=1)
+    return rows if keep.all() else rows[keep]
+
+
 class Ideal:
     """Finitely generated ideal of the truncated ring."""
 
@@ -73,7 +80,8 @@ class Ideal:
         # whole ideal, so one bulk Howell pass over the stacked
         # multiplication matrices canonicalizes it.
         spec = self.spec
-        blocks = [multiplication_rows(g) for g in distinct_nonzero(self.generators)]
+        blocks = [_nonzero_rows(multiplication_rows(g))
+                  for g in distinct_nonzero(self.generators)]
         if not blocks:
             return CoeffMatrix(spec.p, spec.k, spec.size, ())
         rows = howell_span_rows(spec.p, spec.k, spec.size, np.vstack(blocks))

@@ -12,13 +12,42 @@ d<i> is the i-th group generator, t<j> the j-th T variable, tau<i> sugar
 for d<i> - 1, N(i, ...) the norm of the listed cyclic factors and N() the
 full group norm.  ``element_to_text`` prints in tau/T notation and round
 trips through ``parse_element``.
+
+Both directions work from per-spec tables (``_tables``, cached like the
+tables in ``groupring``):
+
+- per group axis of order m, the m x m binomial matrices between the
+  delta-power basis and the tau-power basis (delta = 1 + tau), in the
+  residue dtype ``residue_dtype(p^k, inner=m)``;
+- the print order of the monomials (total degree, then exponent tuple),
+  each monomial's factor string and its total degree;
+- the flat-index stride, radix and axis of every name tau<i>, tau_<i>
+  and t<j>.
+
+The printer changes basis once and joins the factor strings of the
+non-zero coefficients.  The parser reads a term of the form
+
+    monomial := [INT '*'] var ['^' INT] ('*' var ['^' INT])*  |  INT
+    var      := tau<i> | tau_<i> | t<j>     (each at most once per term)
+
+as one coefficient at one tau/T-basis index, with no ring multiplication;
+a T exponent >= N makes the term zero.  An expression sums these
+coefficients in a tau-basis vector and changes basis once at its end.
+Every other term goes through the recursive evaluator, which is the only
+path for general expressions: the fast path rewinds and leaves the term
+to it on any token it does not fully recognise, on an integer raised to
+a power, on a repeated variable, on a second exponent and on a tau
+exponent >= m_i, so every ``ParseError`` (message, line and column)
+comes from the evaluator.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +55,8 @@ from .errors import ParseError
 from .groupring import (
     GroupRingSpec,
     RingElement,
+    _exponent_array,
+    _zeros,
     const,
     delta,
     from_vector,
@@ -33,6 +64,7 @@ from .groupring import (
     one,
     tvar,
 )
+from .linalg import residue_dtype
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^(),]))"
@@ -68,11 +100,64 @@ def tokenize(src: str) -> list[Token]:
     return tokens
 
 
+class _Tables(NamedTuple):
+    to_tau: tuple[np.ndarray, ...]  # per group axis: delta-power -> tau-power
+    from_tau: tuple[np.ndarray, ...]  # per group axis: tau-power -> delta-power
+    order: np.ndarray  # flat monomial indices in print order
+    factors: tuple[str, ...]  # per flat index: "tau1^2*t1", "" for 1
+    degree: np.ndarray  # per flat index: total degree
+    names: dict  # "tau1", "tau_1", "t1" -> (axis, stride, radix, is_tau)
+
+
+@lru_cache(maxsize=None)
+def _tables(spec: GroupRingSpec) -> _Tables:
+    mod = spec.modulus
+    to_tau, from_tau = [], []
+    for m in spec.orders:
+        dtype = residue_dtype(mod, inner=m)
+        # delta^a = sum_e C(a, e) tau^e and tau^e = sum_a C(e, a) (-1)^(e-a) delta^a
+        to_tau.append(np.array([[comb(a, e) % mod for a in range(m)]
+                                for e in range(m)], dtype=dtype))
+        from_tau.append(np.array([[(-comb(e, a) if (e - a) % 2 else comb(e, a)) % mod
+                                   for e in range(m)] for a in range(m)], dtype=dtype))
+    exps = _exponent_array(spec)
+    degree = exps.sum(axis=1)
+    # A stable sort keeps equal degrees in flat order, which is the
+    # lexicographic order of the exponent tuples.
+    order = np.argsort(degree, kind="stable")
+    letters = [f"tau{i}" for i in range(1, spec.s + 1)] + \
+              [f"t{j}" for j in range(1, spec.d + 1)]
+    factors = tuple(
+        "*".join(name if e == 1 else f"{name}^{e}"
+                 for name, e in zip(letters, row) if e)
+        for row in exps.tolist())
+    names = {}
+    stride = spec.size
+    for axis, (name, radix) in enumerate(zip(letters, spec.radices)):
+        stride //= radix
+        is_tau = axis < spec.s
+        names[name] = (axis, stride, radix, is_tau)
+        if is_tau:
+            names[f"tau_{axis + 1}"] = names[name]
+    return _Tables(tuple(to_tau), tuple(from_tau), order, factors, degree, names)
+
+
+def _change_basis(spec: GroupRingSpec, coeffs: np.ndarray, mats) -> np.ndarray:
+    """Apply one m x m matrix along each group axis of a coefficient vector."""
+    shaped = coeffs.reshape(spec.radices)
+    for axis, mat in enumerate(mats):
+        shaped = np.tensordot(mat, shaped.astype(mat.dtype, copy=False),
+                              axes=([1], [axis]))
+        shaped = np.moveaxis(shaped, 0, axis) % spec.modulus
+    return shaped.reshape(spec.size)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], spec: GroupRingSpec):
         self.tokens = tokens
         self.pos = 0
         self.spec = spec
+        self.tables = _tables(spec)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -98,20 +183,77 @@ class _Parser:
         return value
 
     def expr(self) -> RingElement:
+        value = None
+        monomials = {}  # tau/T-basis index -> coefficient
+        sign = 1
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            value = -self.term()
-        else:
-            value = self.term()
+            sign = -1
         while True:
+            if not self.monomial(monomials, sign):
+                rhs = self.term()
+                rhs = -rhs if sign < 0 else rhs
+                value = rhs if value is None else value + rhs
             tok = self.peek()
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
-                rhs = self.term()
-                value = value + rhs if tok.text == "+" else value - rhs
+                sign = 1 if tok.text == "+" else -1
             else:
-                return value
+                break
+        if monomials or value is None:  # every term may have vanished
+            tau = _zeros(self.spec)
+            for index, c in monomials.items():
+                tau[index] = c % self.spec.modulus
+            rhs = from_vector(self.spec, _change_basis(self.spec, tau, self.tables.from_tau))
+            value = rhs if value is None else value + rhs
+        return value
+
+    def monomial(self, monomials: dict, sign: int) -> bool:
+        """Read a tau/T monomial term into ``monomials``; on any other term
+        leave the position unchanged and return False."""
+        tokens = self.tokens
+        pos = self.pos
+        coeff, index, used, vanishes = sign, 0, set(), False
+        tok = tokens[pos]
+        if tok.kind == "int":
+            coeff *= int(tok.text)
+            pos += 1
+            follow = tokens[pos].text
+            if follow == "^":
+                return False
+            more = follow == "*"
+            pos += more
+        else:
+            more = True
+        while more:
+            tok = tokens[pos]
+            var = self.tables.names.get(tok.text) if tok.kind == "name" else None
+            if var is None or var[0] in used:
+                return False
+            axis, stride, radix, is_tau = var
+            used.add(axis)
+            e = 1
+            pos += 1
+            if tokens[pos].text == "^":
+                etok = tokens[pos + 1]
+                if etok.kind != "int":
+                    return False
+                e = int(etok.text)
+                pos += 2
+                if tokens[pos].text == "^":
+                    return False
+            if e >= radix:
+                if is_tau:
+                    return False
+                vanishes = True  # T_j^e = 0 for e >= N
+            index += e * stride
+            more = tokens[pos].text == "*"
+            pos += more
+        self.pos = pos
+        if not vanishes:
+            monomials[index] = monomials.get(index, 0) + coeff
+        return True
 
     def term(self) -> RingElement:
         value = self.factor()
@@ -202,22 +344,6 @@ def parse_element(src: str, spec: GroupRingSpec) -> RingElement:
     return _Parser(tokenize(src), spec).parse()
 
 
-def _tau_coefficients(x: RingElement) -> np.ndarray:
-    """Coefficient tensor in the basis tau^a * T^b, tau_i = delta_i - 1.
-
-    delta^a = (1 + tau)^a expands binomially along each group axis.
-    """
-    spec = x.spec
-    mod = spec.modulus
-    coeffs = x.coeffs.reshape(spec.radices).astype(object)
-    for axis, m in enumerate(spec.orders):
-        mat = np.array([[comb(a, e) % mod for a in range(m)] for e in range(m)],
-                       dtype=object)
-        coeffs = np.tensordot(mat, coeffs, axes=([1], [axis]))
-        coeffs = np.moveaxis(coeffs, 0, axis) % mod
-    return coeffs
-
-
 def element_to_text(x: RingElement) -> str:
     """Canonical tau/T-notation text, re-parseable by ``parse_element``.
 
@@ -225,35 +351,25 @@ def element_to_text(x: RingElement) -> str:
     exponent tuple; the zero element prints as "0".
     """
     spec = x.spec
-    coeffs = _tau_coefficients(x)
-    entries = []
-    for flat, c in enumerate(coeffs.reshape(-1)):
-        c = int(c)
-        if c == 0:
-            continue
-        exps = spec.exps_of(flat)
-        entries.append((sum(exps), exps, c))
-    if not entries:
+    tables = _tables(spec)
+    tau = _change_basis(spec, x.coeffs, tables.to_tau)
+    order = tables.order[tau[tables.order] != 0]
+    if not len(order):
         return "0"
-    entries.sort(key=lambda t: (t[0], t[1]))
     parts = []
-    for _, exps, c in entries:
-        factors = []
-        for i in range(spec.s):
-            if exps[i] == 1:
-                factors.append(f"tau{i + 1}")
-            elif exps[i] > 1:
-                factors.append(f"tau{i + 1}^{exps[i]}")
-        for j in range(spec.d):
-            e = exps[spec.s + j]
-            if e == 1:
-                factors.append(f"t{j + 1}")
-            elif e > 1:
-                factors.append(f"t{j + 1}^{e}")
-        if not factors:
+    for i in order.tolist():
+        c, factor = int(tau[i]), tables.factors[i]
+        if not factor:
             parts.append(str(c))
         elif c == 1:
-            parts.append("*".join(factors))
+            parts.append(factor)
         else:
-            parts.append(f"{c}*" + "*".join(factors))
+            parts.append(f"{c}*{factor}")
     return " + ".join(parts)
+
+
+def lowest_degree(x: RingElement) -> int:
+    """Smallest total degree of a delta/T monomial with a non-zero
+    coefficient in x (0 for the zero element)."""
+    support = np.flatnonzero(x.coeffs)
+    return int(_tables(x.spec).degree[support].min()) if len(support) else 0

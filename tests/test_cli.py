@@ -187,3 +187,13 @@ def test_precision_error_exit_code(tmp_path, capsys):
     low.write_text("spec p=3 k=2 N=4 orders=3,3,3 d=1\nshift-trivial 3\n")
     assert main(["run", str(low)]) == 3
     assert "needs N >= 5" in capsys.readouterr().err
+
+
+def test_unbalanced_ideal_literal_is_a_usage_error():
+    session = fresh_session()
+    for src in ("(tau1, t1", "(tau1, (t1)", "((t1)/t1"):
+        with pytest.raises(UsageError, match="unbalanced parenthesis"):
+            parse_value(src, session)
+    with pytest.raises(UsageError, match="unbalanced parenthesis"):
+        run_command("let I = (tau1, t1", session)
+    assert "I" not in session.bindings

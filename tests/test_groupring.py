@@ -239,3 +239,12 @@ def test_char_eval_is_additive(rng):
 
         rhs_coeffs = (char_eval(chi, x).coeffs + char_eval(chi, y).coeffs) % spec.modulus
         assert _np.array_equal(lhs.coeffs, rhs_coeffs)
+
+
+def test_cached_spec_values_stay_out_of_identity():
+    fresh = GroupRingSpec(3, 2, (3,), 1, 4)
+    used = GroupRingSpec(3, 2, (3,), 1, 4)
+    assert (used.radices, used.size, used.dtype()) == ((3, 4), 12, np.int64)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert GroupRingSpec(3, 21, (3,), 1, 4).dtype() is object
+    assert GroupRingSpec(3, 2, (), 0, 4).size == 1

@@ -171,3 +171,22 @@ def test_trivial_group_certificate():
     spec = GroupRingSpec(3, 2, (), 1, 3)
     assert nzd_certificate(tvar(spec, 1)) == "certified"
     assert nzd_certificate(zero(spec)) == "inconclusive"
+
+
+def test_canonical_form_without_zero_rows_matches_full_stack(rng):
+    """Dropping the rows that T-truncation zeroes leaves the Howell form as
+    the kernel computes it from the full stacked multiplication matrices."""
+    import numpy as np
+
+    from iwafit.groupring import multiplication_rows
+    from iwafit.linalg import howell_span_rows
+
+    for spec in (GroupRingSpec(3, 3, (3,), 1, 4), GroupRingSpec(3, 21, (3,), 2, 3)):
+        t = tvar(spec, 1)
+        gens = [random_element(spec, rng) * t**2, t**3, random_element(spec, rng) * t]
+        I = Ideal(spec, gens)
+        full = np.vstack([multiplication_rows(g) for g in gens])
+        assert not np.all(np.any(full != 0, axis=1))
+        rows = howell_span_rows(spec.p, spec.k, spec.size, full)
+        assert len(I.canonical.rows) == len(rows)
+        assert all(np.array_equal(a, b) for a, b in zip(I.canonical.rows, rows))

@@ -111,3 +111,189 @@ def test_round_trip_property(vec):
 
     x = from_vector(_SMALL, np.array(vec))
     assert parse_element(element_to_text(x), _SMALL) == x
+
+
+# --------------------------------------------------------------------------
+# The monomial fast path and the table-driven printer, against referees
+
+from itertools import product
+from math import comb
+
+from hypothesis import settings
+
+from iwafit import cli
+from iwafit.parser import _Parser
+
+_FAST_SPECS = (
+    GroupRingSpec(3, 3, (3, 9), 2, 4),  # the ``spec`` fixture: int64 residues
+    GroupRingSpec(3, 21, (3, 9), 1, 3),  # Python-int residues (dtype object)
+    GroupRingSpec(3, 2, (), 2, 4),  # the trivial group
+    GroupRingSpec(3, 19, (3,), 1, 2),  # Python-int residues, int64 basis change
+)
+_IDS = ["int64", "object", "trivial", "mixed"]
+
+
+class _Evaluator(_Parser):
+    """The recursive evaluator alone: the monomial fast path always declines."""
+
+    def monomial(self, monomials, sign):
+        return False
+
+
+def evaluate(src, spec):
+    return _Evaluator(tokenize(src), spec).parse()
+
+
+def assert_same_element(x, y):
+    assert x == y
+    if x.spec.dtype() is object:
+        assert all(type(c) is int for c in x.coeffs)
+
+
+@st.composite
+def monomial_sums(draw):
+    """(spec, text, element): a signed sum of c * tau^a * T^b terms written
+    in the fast path's grammar, and the same sum built with ring arithmetic.
+    Exponents run past m_i and N, and the variables come in any order."""
+    spec = draw(st.sampled_from(_FAST_SPECS))
+    mod = spec.modulus
+    value = const(spec, 0)
+    text = ""
+    for n in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from((1, -1)))
+        c = draw(st.integers(0, 2 * mod))
+        term = const(spec, c)
+        factors = []
+        for i, m in enumerate(spec.orders, 1):
+            if draw(st.booleans()):
+                a = draw(st.integers(0, m + 1))
+                term = term * (delta(spec, i) - one(spec)) ** a
+                factors.append((draw(st.sampled_from((f"tau{i}", f"tau_{i}"))), a))
+        for j in range(1, spec.d + 1):
+            if draw(st.booleans()):
+                b = draw(st.integers(0, spec.N + 1))
+                term = term * tvar(spec, j) ** b
+                factors.append((f"t{j}", b))
+        factors = draw(st.permutations(factors))
+        parts = [name if e == 1 and draw(st.booleans()) else f"{name}^{e}"
+                 for name, e in factors]
+        if not parts or c != 1 or draw(st.booleans()):
+            parts.insert(0, str(c))
+        body = "*".join(parts)
+        if n == 0:
+            text = f"-{body}" if sign < 0 else body
+        else:
+            text += f" {'-' if sign < 0 else '+'} {body}"
+        value = value + term if sign > 0 else value - term
+    return spec, text, value
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_sums())
+def test_fast_path_matches_ring_arithmetic(case):
+    spec, text, value = case
+    parsed = parse_element(text, spec)
+    assert_same_element(parsed, value)
+    assert_same_element(evaluate(text, spec), value)
+
+
+@pytest.mark.parametrize("spec", _FAST_SPECS, ids=_IDS)
+def test_fast_path_declines_or_matches_the_evaluator(spec):
+    """Terms the fast path must leave to the evaluator, or treat specially,
+    give the evaluator's element."""
+    texts = ["7", "0", "-5", "12345678901234567890", "2^3", "2^3*t1", "t1^4",
+             "3*t1^4 + t1^3", "t1^0", "t1*t1", "t1*t2*t1^2", "t1^3*t1^2", "t1^2^2",
+             "(t1 + 1)^2", "-(t1 - 2)*t1", "- -t1", "2*-t1", "t1*2",
+             "((t1 + 3)*(t1^2 - 1))^2 - t1"]
+    if spec.s:
+        texts += ["tau1^3", "tau1^4*t1", "tau1^0", "tau1^0*t1^0", "tau1*tau1",
+                  "tau1*tau_1*t1", "tau1^2*tau1", "2^3*tau1", "d1", "3*d1^2*tau2 + d2",
+                  "-tau1*t1 + 2", "- 3*tau2^8*t1^3", "tau_2", "tau_2^9",
+                  "tau2^10*t1 - tau2^8", "((tau1 + t1)*(2*tau2 - 1))^2 - (tau_1)",
+                  "N() + tau1", "3*N(2)*t1 - tau2", "tau1^2^2", "tau1*d1",
+                  "99*tau2^3*tau1^2*t1^3"]
+    for text in texts:
+        try:
+            expected = evaluate(text, spec)
+        except ParseError as err:  # e.g. t2 on a spec with one T variable
+            with pytest.raises(ParseError) as again:
+                parse_element(text, spec)
+            assert (str(again.value), again.value.line, again.value.column) == \
+                (str(err), err.line, err.column)
+            continue
+        assert_same_element(parse_element(text, spec), expected)
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("2*tau3^2 + t1", "group generator index 3 out of range 1..2", 1, 3),
+    ("t1 + 5*t3", "T-variable index 3 out of range 1..2", 1, 8),
+    ("tau1*\n  tau_3*t1", "group generator index 3 out of range 1..2", 2, 3),
+    ("tau1*t1*t0", "T-variable index 0 out of range 1..2", 1, 9),
+    ("tau1^t1", "exponent must be a nonnegative integer", 1, 6),
+    ("3*tau1 *", "expected a value, found 'end of input'", 1, 9),
+    ("2*tau1 t1", "trailing input starting at 't1'", 1, 8),
+    ("tau1 + frob*t1", "unknown identifier 'frob'", 1, 8),
+    ("tau1^2 + (t1", "expected ')', found 'end of input'", 1, 13),
+])
+def test_fast_path_keeps_error_positions(spec, text, message, line, column):
+    errors = []
+    for parse in (parse_element, evaluate):
+        with pytest.raises(ParseError) as err:
+            parse(text, spec)
+        errors.append((str(err.value), err.value.line, err.value.column))
+    assert errors[0] == errors[1] == \
+        (f"{message} (line {line}, column {column})", line, column)
+
+
+def reference_text(x):
+    """Term-by-term printer: expand every delta^a as prod (1 + tau)^(a_i)."""
+    spec = x.spec
+    mod = spec.modulus
+    tau = {}
+    for exps, c in x.terms():
+        group, t = exps[:spec.s], exps[spec.s:]
+        for es in product(*(range(a + 1) for a in group)):
+            coeff = c
+            for a, e in zip(group, es):
+                coeff *= comb(a, e)
+            key = tuple(es) + tuple(t)
+            tau[key] = (tau.get(key, 0) + coeff) % mod
+    entries = sorted((sum(e), e, c) for e, c in tau.items() if c)
+    if not entries:
+        return "0"
+    names = [f"tau{i}" for i in range(1, spec.s + 1)] + \
+        [f"t{j}" for j in range(1, spec.d + 1)]
+    parts = []
+    for _, exps, c in entries:
+        body = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+        parts.append(str(c) if not body else body if c == 1 else f"{c}*{body}")
+    return " + ".join(parts)
+
+
+@pytest.mark.parametrize("spec", _FAST_SPECS, ids=_IDS)
+def test_printer_matches_term_by_term_referee(spec, rng):
+    for _ in range(12):
+        x = random_element(spec, rng)
+        text = element_to_text(x)
+        assert text == reference_text(x)
+        assert_same_element(parse_element(text, spec), x)
+    for x in (const(spec, 0), one(spec), const(spec, -1), tvar(spec, 1) ** 3):
+        assert element_to_text(x) == reference_text(x)
+    if spec.s:
+        sparse = delta(spec, spec.s) ** 5 * tvar(spec, 1) - const(spec, 2) * delta(spec, 1)
+        assert element_to_text(sparse) == reference_text(sparse)
+
+
+@pytest.mark.parametrize("spec", _FAST_SPECS, ids=_IDS)
+def test_element_texts_sorted_keeps_the_degree_order(spec, rng):
+    def old_key(x):
+        terms = x.terms()
+        return (min(sum(e) for e, _ in terms) if terms else 0, element_to_text(x))
+
+    t1 = tvar(spec, 1)
+    elems = [random_element(spec, rng) * t1 ** (i % 3) for i in range(8)]
+    elems += [t1 ** 2, const(spec, 0), const(spec, 3), t1 * 2, t1 ** 2, elems[0]]
+    if spec.s:
+        elems += [delta(spec, 1) * t1, delta(spec, 1) - one(spec), delta(spec, spec.s) ** 3]
+    expected = [element_to_text(x) for x in sorted(elems, key=old_key)]
+    assert cli.element_texts_sorted(elems) == expected
