@@ -30,7 +30,6 @@ from .fitting import (
     apply_hom_to_presentation,
     direct_sum,
     fitting_ideal,
-    fitting_ideal_naive,
     lift_presentation,
     lifted_fitting_ideal,
     transpose_dual,

@@ -117,9 +117,22 @@ def _split_args(src: str) -> list[str]:
     return args
 
 
+def _parse_entry(src: str, session: Session) -> RingElement:
+    """One entry of a literal: a bound element name or an element expression."""
+    src = src.strip()
+    if src in session.bindings:
+        value = session.bindings[src]
+        if not isinstance(value, RingElement):
+            raise UsageError(f"name {src!r} is bound to a {type(value).__name__}, "
+                             "not a ring element")
+        return value
+    return parse_element(src, session.require_spec())
+
+
 def parse_value(src: str, session: Session):
     """A bound name, element expression, ideal literal (g1, ...), fractional
-    literal (g1, ...)/den, or matrix literal [[...], ...]."""
+    literal (g1, ...)/den, or matrix literal [[...], ...].  A whole entry or
+    denominator of a literal may be a bound element name."""
     src = src.strip()
     spec = session.require_spec()
     if src in session.bindings:
@@ -133,7 +146,7 @@ def parse_value(src: str, session: Session):
             r = r.strip()
             if not (r.startswith("[") and r.endswith("]")):
                 raise UsageError("matrix rows must be bracketed")
-            rows.append([parse_element(e, spec) for e in _split_top_level(r[1:-1])])
+            rows.append([_parse_entry(e, session) for e in _split_top_level(r[1:-1])])
         if len({len(r) for r in rows}) > 1:
             raise UsageError("matrix rows have unequal lengths")
         return matrix_from_rows(spec, rows)
@@ -150,14 +163,14 @@ def parse_value(src: str, session: Session):
             raise UsageError(f"unbalanced parenthesis in ideal literal {src!r}")
         inner = src[1:close]
         rest = src[close + 1:].strip()
-        gens = [parse_element(g, spec) for g in _split_top_level(inner)]
+        gens = [_parse_entry(g, session) for g in _split_top_level(inner)]
         if not rest:
             # A single parenthesized expression still denotes the ideal it
             # generates; commands that need an element parse directly.
             return Ideal(spec, gens)
         if not rest.startswith("/"):
             raise UsageError(f"unexpected text after ideal literal: {rest!r}")
-        den = parse_element(rest[1:], spec)
+        den = _parse_entry(rest[1:], session)
         status = nzd_status(den)
         if status != "certified" and not session.assume_nzd:
             raise UsageError(

@@ -26,14 +26,12 @@ lift, and drops the sizes j <= a - N, whose T_d-power vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-
 import numpy as np
 
 from .complexes import RingMatrix
 from .errors import SpecMismatchError
-from .groupring import GroupRingSpec, RingElement, _zeros, apply_hom, mul, one, zero
-from .ideals import Ideal, distinct_nonzero, unit_ideal, zero_ideal
+from .groupring import GroupRingSpec, RingElement, _zeros, apply_hom, mul, one
+from .ideals import Ideal, distinct_nonzero
 
 
 @dataclass(frozen=True)
@@ -139,33 +137,6 @@ def _place(coeffs: np.ndarray, target: GroupRingSpec, degree: int = 0) -> np.nda
     out = _zeros(target, *lead).reshape(*lead, size, target.size // size)
     out[..., degree] = coeffs
     return out.reshape(*lead, target.size)
-
-
-def fitting_ideal_naive(m: PresentedModule) -> Ideal:
-    """Independent oracle: cofactor expansion over explicit column subsets."""
-    h = m.presentation
-    a, b = h.nrows, h.ncols
-    spec = h.spec
-    if a == 0:
-        return unit_ideal(spec)
-    if b < a:
-        return zero_ideal(spec)
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return h.at(rows[0], cols[0])
-        acc = zero(spec)
-        for t, r in enumerate(rows):
-            entry = h.at(r, cols[0])
-            if entry.is_zero():
-                continue
-            sub = det([x for x in rows if x != r], cols[1:])
-            term = mul(entry, sub)
-            acc = acc + term if t % 2 == 0 else acc - term
-        return acc
-
-    gens = [det(list(range(a)), list(cols)) for cols in combinations(range(b), a)]
-    return Ideal(spec, gens)
 
 
 def lift_presentation(m: PresentedModule, target: GroupRingSpec,

@@ -8,6 +8,7 @@ Everything here is immutable; operations are pure functions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
@@ -383,8 +384,9 @@ def twist_hom(spec: GroupRingSpec, delta_values=(), gamma_values=()) -> RingHom:
     homomorphism of the untruncated power series ring; on the T^N
     truncation it is multiplicative up to terms supported in the image of
     (T_j^N), whose T-degree-i coefficients carry p-valuation at least
-    (N - i) v_p(u_j - 1).  Equality verdicts downstream account for this
-    through their certified precision.
+    (N - i) v_p(u_j - 1).  Nothing downstream accounts for this p-adic
+    loss yet: a certified precision counts only the T-degrees of
+    denominators (ROADMAP open item 1).
     """
     delta_values = tuple(v % spec.modulus for v in delta_values)
     gamma_values = tuple(v % spec.modulus for v in gamma_values)
@@ -554,6 +556,156 @@ def _exact_polydiv(num, den):
     if any(num[: len(den) - 1]):
         raise ArithmeticError("inexact cyclotomic division")
     return q
+
+
+# --------------------------------------------------------------------------
+# Coprime factors of x^m - 1 over Z/p^k
+#
+# Polynomials here are coefficient lists, low degree first, of Python ints.
+
+
+def _ptrim(a: list) -> list:
+    while a and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _padd(a, b, mod: int) -> list:
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _ptrim([(x + y) % mod for x, y in zip(a, b)])
+
+
+def _psub(a, b, mod: int) -> list:
+    return _padd(a, [-c for c in b], mod)
+
+
+def _pmul(a, b, mod: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ptrim([c % mod for c in out])
+
+
+def _pdivmod(a, b, mod: int) -> tuple[list, list]:
+    """Quotient and remainder of a by b, whose leading coefficient is a unit mod ``mod``."""
+    a = _ptrim([c % mod for c in a])
+    b = _ptrim([c % mod for c in b])
+    inv = pow(b[-1], -1, mod)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = a[-1] * inv % mod
+        shift = len(a) - len(b)
+        q[shift] = c
+        a = _psub(a, [0] * shift + [c * x for x in b], mod)
+    return q, a
+
+
+def _pxgcd(a, b, p: int) -> tuple[list, list, list]:
+    """(g, s, t) over F_p with g = s*a + t*b the monic gcd of a and b."""
+    r0, s0, t0 = _ptrim([c % p for c in a]), [1], []
+    r1, s1, t1 = _ptrim([c % p for c in b]), [], [1]
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
+        t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
+    inv = pow(r0[-1], -1, p)
+    return ([c * inv % p for c in r0], [c * inv % p for c in s0],
+            [c * inv % p for c in t0])
+
+
+def _ppowmod(a, e: int, f, p: int) -> list:
+    """a^e mod (f, p)."""
+    out, base = [1], _pdivmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _pdivmod(_pmul(out, base, p), f, p)[1]
+        base = _pdivmod(_pmul(base, base, p), f, p)[1]
+        e >>= 1
+    return out
+
+
+def _equal_degree_split(f, d: int, p: int) -> list[list]:
+    """The monic irreducible factors over F_p of a squarefree monic f whose
+    irreducible factors all have degree d (Cantor and Zassenhaus).
+
+    The trial polynomials h run through all polynomials of degree below
+    deg f in a fixed order, so the result does not depend on chance: for
+    any two factors some h is a square modulo one and not the other, and
+    gcd(f, h^((p^d - 1)/2) - 1) then separates them.
+    """
+    if len(f) - 1 == d:
+        return [f]
+    e = (p**d - 1) // 2
+    for n in range(1, len(f) - 1):
+        for low in itertools.product(range(p), repeat=n):
+            h = list(low) + [1]
+            g = _pxgcd(f, _psub(_ppowmod(h, e, f, p), [1], p), p)[0]
+            if 1 < len(g) < len(f):
+                rest = _pdivmod(f, g, p)[0]
+                return _equal_degree_split(g, d, p) + _equal_degree_split(rest, d, p)
+    raise AssertionError("no trial polynomial split a reducible factor")
+
+
+def _hensel_lift(f, g, h, p: int, k: int) -> tuple[list, list]:
+    """Monic G, H mod p^k with f = G*H, G = g and H = h mod p, for monic f
+    and monic factors g, h coprime mod p (linear lifting, one power of p
+    per step)."""
+    mod = p**k
+    _, s, t = _pxgcd(g, h, p)
+    for j in range(1, k):
+        pj = p**j
+        err = [c // pj % p for c in _psub(f, _pmul(g, h, mod), mod)]
+        # g*dh + h*dg = err mod p, with deg dg < deg g so that g stays monic.
+        q, dg = _pdivmod(_pmul(err, t, p), g, p)
+        dh = _padd(_pmul(err, s, p), _pmul(q, h, p), p)
+        g = _padd(g, [pj * c for c in dg], mod)
+        h = _padd(h, [pj * c for c in dh], mod)
+    return g, h
+
+
+@lru_cache(maxsize=None)
+def crt_factors(p: int, k: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Monic F_1, ..., F_r over Z/p^k with x^m - 1 = F_1 * ... * F_r.
+
+    Writing m = p^a * m' with p coprime to m', x^m - 1 = (x^m' - 1)^(p^a)
+    mod p, and x^m' - 1 is squarefree mod p with one factor Phi_e per
+    divisor e of m'; Phi_e splits into irreducibles of degree ord_e(p).
+    Each F_i lifts the p^a-th power of one irreducible, so the F_i are
+    pairwise coprime mod p, hence comaximal over Z/p^k, and
+    Z/p^k[x]/(x^m - 1) is the product of the rings Z/p^k[x]/(F_i).  When
+    m is a power of p there is one factor.  Factors are sorted by degree,
+    then by their coefficients mod p.
+    """
+    m1, pa = m, 1
+    while m1 % p == 0:
+        m1, pa = m1 // p, pa * p
+    irreducible = []
+    for e in range(1, m1 + 1):
+        if m1 % e == 0:
+            d = next(d for d in range(1, e + 1) if pow(p, d, e) == 1 % e)
+            phi = [c % p for c in cyclotomic_poly(e)]
+            irreducible += _equal_degree_split(phi, d, p)
+    powers = []
+    for g in irreducible:
+        power = [1]
+        for _ in range(pa):
+            power = _pmul(power, g, p)
+        powers.append(power)
+    powers.sort(key=lambda g: (len(g), g[::-1]))
+    mod = p**k
+    rest = [(-1) % mod] + [0] * (m - 1) + [1]
+    lifted = []
+    for g in powers[:-1]:
+        h = _pdivmod(rest, g, p)[0]
+        G, rest = _hensel_lift(rest, g, h, p, k)
+        lifted.append(tuple(G))
+    lifted.append(tuple(rest))
+    return tuple(lifted)
 
 
 @lru_cache(maxsize=None)

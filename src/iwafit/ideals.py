@@ -7,12 +7,35 @@ pass over their stacked multiplication matrices computes it.
 Equality of canonical forms decides equality of ideal images in the
 truncated ring, so a "false" verdict certifies exact inequality while a
 "true" verdict is evidence at the working precision.
+
+Comparisons (``ideal_equal``, ``Ideal.contains`` and with them
+``frac_equal``) are decided one prime-to-p block at a time.  On a group
+axis of order m that is not a power of p, x^m - 1 = F_1 * ... * F_r over
+Z/p^k with monic F_j pairwise coprime mod p (``groupring.crt_factors``),
+so R is the product of the rings R_b = R' (x) Z/p^k[x]/(F_j) over the
+choices b of one F_j per such axis, R' the ring without those axes.  The
+projection pi_b: R -> R_b is a surjective ring map, so pi_b(I) is the
+ideal of R_b generated by the pi_b(g), spanned over Z/p^k by the
+pi_b(g) * pi_b(b) for the basis monomials b, and I is the product of its
+images.  ``Ideal.key`` is therefore the tuple of the Howell forms of the
+pi_b(I): two ideals are equal iff their keys are, and x lies in I iff
+each pi_b(x) lies in pi_b(I).  pi_b(g) is g reduced mod F_j(delta) along
+each split axis, taken before any multiplication matrix is built; its
+multiplication rows are sum_a kron(X_a, multiplication_rows(g_a)) over
+the monomials x^a of the quotients, X_a the multiplication by x^a, which
+is ``multiplication_rows`` of pi_b(g) itself when every F_j is linear.
+A spec without such an axis has one block and the key ``(canonical,)``.
+The canonical form stays the delta-basis Howell form of the whole ideal;
+only the printers compute it on a split spec.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -23,28 +46,34 @@ from .groupring import (
     RingElement,
     all_characters,
     char_eval,
+    crt_factors,
     from_vector,
     mul,
     multiplication_rows,
     one,
     zero,
 )
-from .linalg import CoeffMatrix, _reduce, howell_span_rows
+from .linalg import CoeffMatrix, _reduce, howell_span_rows, residue_dtype
+
+
+def _distinct_nonzero_positions(arrays) -> list[int]:
+    """Positions of the non-zero arrays, each value kept once, in order."""
+    seen = set()
+    out = []
+    for i, c in enumerate(arrays):
+        if not np.any(c):
+            continue
+        key = tuple(c.reshape(-1)) if c.dtype == object else c.tobytes()
+        if key not in seen:
+            seen.add(key)
+            out.append(i)
+    return out
 
 
 def distinct_nonzero(elements) -> list[RingElement]:
     """The non-zero elements, each coefficient vector kept once, in order."""
-    seen = set()
-    out = []
-    for x in elements:
-        if x.is_zero():
-            continue
-        c = x.coeffs
-        key = tuple(c) if c.dtype == object else c.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(x)
-    return out
+    elements = list(elements)
+    return [elements[i] for i in _distinct_nonzero_positions([x.coeffs for x in elements])]
 
 
 def _nonzero_rows(rows: np.ndarray) -> np.ndarray:
@@ -52,6 +81,99 @@ def _nonzero_rows(rows: np.ndarray) -> np.ndarray:
     T-truncation kills); ``rows`` itself, not a copy, when there are none."""
     keep = np.any(rows, axis=1)
     return rows if keep.all() else rows[keep]
+
+
+class _Split(NamedTuple):
+    """The CRT blocks of a spec's ring; see the module docstring."""
+
+    axes: tuple[int, ...]  # group axes whose order is not a power of p
+    # Per split axis, the (m, m) matrix whose row a holds x^a mod each F_j
+    # of the axis, the factors' columns side by side.
+    crt: tuple[np.ndarray, ...]
+    # Per block, the (column offset, degree) of its factor on each split axis.
+    blocks: tuple[tuple[tuple[int, int], ...], ...]
+    rest: GroupRingSpec  # the spec without the split axes
+
+
+def _power_residues(F: tuple[int, ...], m: int, mod: int) -> list[list[int]]:
+    """x^a mod F for a in range(m), as coefficient lists of length deg F."""
+    n = len(F) - 1
+    cur = [1] + [0] * (n - 1)
+    out = []
+    for _ in range(m):
+        out.append(cur)
+        top = cur[-1]
+        cur = [(lo - top * f) % mod for lo, f in zip([0] + cur[:-1], F)]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _split(spec: GroupRingSpec) -> _Split | None:
+    """The CRT blocks of ``spec``, or None when no group axis splits."""
+    axes, crt, per_axis = [], [], []
+    mod = spec.modulus
+    for axis, m in enumerate(spec.orders):
+        factors = crt_factors(spec.p, spec.k, m)
+        if len(factors) == 1:
+            continue
+        # The products of the reduction sum m terms below mod^2.
+        mat = np.empty((m, m), dtype=residue_dtype(mod, m))
+        offsets, off = [], 0
+        for F in factors:
+            n = len(F) - 1
+            mat[:, off:off + n] = _power_residues(F, m, mod)
+            offsets.append((off, n))
+            off += n
+        axes.append(axis)
+        crt.append(mat)
+        per_axis.append(offsets)
+    if not axes:
+        return None
+    rest = GroupRingSpec(spec.p, spec.k,
+                         tuple(m for i, m in enumerate(spec.orders) if i not in axes),
+                         spec.d, spec.N)
+    return _Split(tuple(axes), tuple(crt), tuple(itertools.product(*per_axis)), rest)
+
+
+def _block_images(spec: GroupRingSpec, coeffs: np.ndarray) -> list[np.ndarray]:
+    """pi_b of the element with these coefficients, for every block b in
+    order, each as an (n_1, ..., n_S, rest size) array: n_i is the degree
+    of the block's factor on the i-th split axis.  ``[coeffs]`` on a spec
+    without a split axis."""
+    split = _split(spec)
+    if split is None:
+        return [coeffs]
+    mod = spec.modulus
+    a = coeffs.reshape(spec.radices)
+    for axis, mat in zip(split.axes, split.crt):
+        a = np.moveaxis(np.tensordot(a.astype(mat.dtype), mat, axes=([axis], [0])) % mod,
+                        -1, axis)
+    a = np.moveaxis(a, split.axes, range(len(split.axes)))
+    a = a.reshape(a.shape[:len(split.axes)] + (split.rest.size,))
+    dtype = split.rest.dtype()
+    return [np.ascontiguousarray(a[tuple(slice(off, off + n) for off, n in block)], dtype=dtype)
+            for block in split.blocks]
+
+
+def _block_rows(split: _Split, block, image: np.ndarray) -> np.ndarray:
+    """The multiplication matrix of a block image: row (u, b) holds
+    pi_b(g) * x^u * b in the block basis x^v * c, with u, v the monomials of
+    the split-axis quotients and b, c those of the rest."""
+    rest = split.rest
+    if image.shape[:-1] == (1,) * len(block):
+        return multiplication_rows(RingElement(rest, image.reshape(rest.size)))
+    mod, dtype = rest.modulus, rest.dtype()
+    out = np.zeros((math.prod(image.shape[:-1]) * rest.size,) * 2, dtype=dtype)
+    for a in np.ndindex(image.shape[:-1]):
+        if not np.any(image[a]):
+            continue
+        # Row u of the multiplication by x^a_i modulo F is x^(u + a_i) mod
+        # F, and F divides x^m - 1.
+        X = reduce(np.kron, (mat[(np.arange(n) + ai) % len(mat), off:off + n]
+                             for mat, (off, n), ai in zip(split.crt, block, a)))
+        term = np.kron(X.astype(dtype), multiplication_rows(RingElement(rest, image[a])))
+        out = (out + term) % mod
+    return out
 
 
 class Ideal:
@@ -65,6 +187,7 @@ class Ideal:
                 raise SpecMismatchError("generator does not live on the ideal's spec")
         self.generators = gens
         self._canonical = None
+        self._key = None
         self._lock = threading.Lock()
 
     @property
@@ -87,6 +210,33 @@ class Ideal:
         rows = howell_span_rows(spec.p, spec.k, spec.size, np.vstack(blocks))
         return CoeffMatrix(spec.p, spec.k, spec.size, tuple(rows))
 
+    @property
+    def key(self) -> tuple[CoeffMatrix, ...]:
+        """The Howell forms of the ideal's CRT blocks, in block order: two
+        ideals are equal iff their keys are.  ``(canonical,)`` on a spec
+        without a split axis."""
+        split = _split(self.spec)
+        if split is None:
+            return (self.canonical,)
+        if self._key is None:
+            with self._lock:
+                if self._key is None:
+                    self._key = self._block_forms(split)
+        return self._key
+
+    def _block_forms(self, split: _Split) -> tuple[CoeffMatrix, ...]:
+        spec = self.spec
+        images = [_block_images(spec, g.coeffs) for g in distinct_nonzero(self.generators)]
+        forms = []
+        for b, block in enumerate(split.blocks):
+            ncols = split.rest.size * math.prod(n for _, n in block)
+            block_images = [img[b] for img in images]
+            stack = [_nonzero_rows(_block_rows(split, block, block_images[i]))
+                     for i in _distinct_nonzero_positions(block_images)]
+            rows = howell_span_rows(spec.p, spec.k, ncols, np.vstack(stack)) if stack else ()
+            forms.append(CoeffMatrix(spec.p, spec.k, ncols, tuple(rows)))
+        return tuple(forms)
+
     def canonical_elements(self) -> list[RingElement]:
         return [from_vector(self.spec, row) for row in self.canonical.rows]
 
@@ -96,7 +246,8 @@ class Ideal:
     def contains(self, x: RingElement) -> bool:
         if x.spec != self.spec:
             raise SpecMismatchError("element does not live on the ideal's spec")
-        return _reduce(x.coeffs, self.canonical)
+        return all(_reduce(image.reshape(-1), H)
+                   for image, H in zip(_block_images(self.spec, x.coeffs), self.key))
 
     def __repr__(self):
         return f"Ideal({len(self.generators)} generators over {self.spec})"
@@ -116,9 +267,9 @@ def _check(I: Ideal, J: Ideal):
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    """Canonical-form equality; false verdicts certify exact inequality."""
+    """Block-key equality; false verdicts certify exact inequality."""
     _check(I, J)
-    return I.canonical == J.canonical
+    return I.key == J.key
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:

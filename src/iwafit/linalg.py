@@ -34,8 +34,8 @@ picks where that arithmetic is exact:
   largest width whose products stay below 2^63;
 - Python ints (dtype object) above that, in panels of ``OBJECT_PANEL``.
 
-``HowellBuilder`` inserts rows one at a time.  It is the slow referee the
-tests hold the kernel to, and no library path uses it.
+The tests hold the kernel to a slow referee that inserts rows one at a
+time (``HowellBuilder`` in ``tests/referees.py``).
 """
 
 from __future__ import annotations
@@ -119,88 +119,6 @@ class CoeffMatrix:
         )
 
     __hash__ = None
-
-
-class HowellBuilder:
-    """Incremental Howell-form accumulator, the referee for the kernel.
-
-    Rows are inserted one at a time; the builder keeps at most one pivot row
-    per column, pivots normalized to powers of p.  Installing a pivot p^e
-    with e > 0 also inserts p^(k-e) times the row, which is what makes the
-    row set span-closed.
-    """
-
-    def __init__(self, p: int, k: int, ncols: int):
-        self.p = p
-        self.k = k
-        self.mod = p**k
-        self.ncols = ncols
-        self.pivots: dict[int, np.ndarray] = {}
-        self.pivot_val: dict[int, int] = {}
-        self._dtype = residue_dtype(self.mod)
-
-    def _valuation(self, x: int) -> int:
-        e = 0
-        while x % self.p == 0:
-            x //= self.p
-            e += 1
-        return e
-
-    def insert(self, vec) -> None:
-        queue = [np.asarray(vec, dtype=self._dtype) % self.mod]
-        while queue:
-            v = queue.pop()
-            col = 0
-            while col < self.ncols:
-                x = int(v[col])
-                if x == 0:
-                    col += 1
-                    continue
-                e = self._valuation(x)
-                if col not in self.pivots:
-                    self._install(col, v, e, queue)
-                    break
-                pe = self.pivot_val[col]
-                if e >= pe:
-                    c = (x // self.p**pe) % self.mod
-                    v = (v - c * self.pivots[col]) % self.mod
-                    # v[col] is now zero; continue along the row.
-                else:
-                    old = self.pivots.pop(col)
-                    self.pivot_val.pop(col)
-                    self._install(col, v, e, queue)
-                    queue.append(old)
-                    break
-            # Row fully reduced to zero when the loop runs off the end.
-
-    def _install(self, col: int, v, e: int, queue) -> None:
-        unit = int(v[col]) // self.p**e
-        if unit % self.p == 0:
-            raise AssertionError("valuation bookkeeping broke")
-        inv = pow(unit, -1, self.mod)
-        v = (v * inv) % self.mod
-        self.pivots[col] = v
-        self.pivot_val[col] = e
-        if e > 0:
-            queue.append((v * self.p ** (self.k - e)) % self.mod)
-
-    def normalized_rows(self) -> list[np.ndarray]:
-        """Back-substituted rows, sorted by pivot column."""
-        cols = sorted(self.pivots)
-        rows = {c: self.pivots[c].copy() for c in cols}
-        for c in cols:
-            pe = self.p ** self.pivot_val[c]
-            prow = None
-            for c2 in cols:
-                if c2 >= c:
-                    break
-                r = rows[c2]
-                q = int(r[c]) // pe
-                if q:
-                    if prow is None:
-                        prow = rows[c]
-                    rows[c2] = (r - q * prow) % self.mod
-        return [rows[c] for c in cols]
 
 
 def _reducer(dtype, mod: int):

@@ -16,7 +16,6 @@ from iwafit import (
     ShiftRequest,
     delta,
     fitting_ideal,
-    fitting_ideal_naive,
     frac_equal,
     ideal_equal,
     integral,
@@ -40,6 +39,7 @@ from iwafit.paperchecks import (
 )
 
 from conftest import random_element
+from referees import fitting_ideal_naive
 from test_linalg import enumerate_span
 
 

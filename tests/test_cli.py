@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from iwafit import ParseError
 from iwafit.cli import (
     Session,
     UsageError,
@@ -197,3 +198,36 @@ def test_unbalanced_ideal_literal_is_a_usage_error():
     with pytest.raises(UsageError, match="unbalanced parenthesis"):
         run_command("let I = (tau1, t1", session)
     assert "I" not in session.bindings
+
+
+def test_bound_names_inside_literals():
+    session = fresh_session(assume_nzd=True)
+    run_command("let A = tau1 + t1", session)
+    direct = run_command("canon (tau1 + t1)", session)
+    assert run_command("canon (A)", session)["canonical_generators"] \
+        == direct["canonical_generators"]
+    doc = run_command("let I = (A, t1)", session)
+    assert doc["canonical_generators"] == \
+        run_command("canon (tau1 + t1, t1)", session)["canonical_generators"]
+    assert run_command("ideal-eq I (tau1, t1)", session)["verdict"] == "equal"
+    run_command("let D = t1", session)
+    run_command("let U = N()*t1", session)
+    run_command("let V = t1^2", session)
+    frac = run_command("frac-eq (U, V)/D (N(), D)", session)
+    assert frac["verdict"] == "equal"
+    assert frac["certified_precision"] == 3
+    matrix = run_command("fitting [[D, 0], [0, A]]", session)
+    assert matrix["canonical_generators"] == \
+        run_command("fitting [[t1, 0], [0, tau1 + t1]]", session)["canonical_generators"]
+    # Only a whole entry is a name: inside an expression it stays unknown.
+    with pytest.raises(ParseError, match="unknown identifier 'A'"):
+        run_command("canon (A + t1)", session)
+
+
+def test_bound_non_element_inside_literal_is_named():
+    session = fresh_session()
+    run_command("let I = (tau1, t1)", session)
+    run_command("let M = [[t1]]", session)
+    for line in ("canon (I)", "let J = (I, t1)", "fitting [[M]]", "frac-eq (t1)/I (t1)"):
+        with pytest.raises(UsageError, match="'I'|'M'"):
+            run_command(line, session)

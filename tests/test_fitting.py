@@ -18,7 +18,6 @@ from iwafit import (
     apply_hom_to_presentation,
     direct_sum,
     fitting_ideal,
-    fitting_ideal_naive,
     from_vector,
     ideal_equal,
     ideal_mul,
@@ -41,6 +40,7 @@ from iwafit import (
 from iwafit.fitting import _minors_by_size
 
 from conftest import random_element
+from referees import fitting_ideal_naive
 
 
 def random_matrix(spec, a, b, rng):

@@ -1,6 +1,12 @@
-"""Canonical forms, ideal arithmetic and non-zero-divisor certificates."""
+"""Canonical forms, the CRT block key, ideal arithmetic and non-zero-divisor
+certificates."""
 
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwafit import (
     FractionalIdeal,
@@ -26,7 +32,9 @@ from iwafit import (
     zero,
     zero_ideal,
 )
-from iwafit.ideals import nzd_status
+from iwafit.groupring import _pmul, _pxgcd, crt_factors
+from iwafit.ideals import _split, nzd_status
+from iwafit.linalg import _reduce
 
 from conftest import random_element
 
@@ -190,3 +198,142 @@ def test_canonical_form_without_zero_rows_matches_full_stack(rng):
         rows = howell_span_rows(spec.p, spec.k, spec.size, full)
         assert len(I.canonical.rows) == len(rows)
         assert all(np.array_equal(a, b) for a, b in zip(I.canonical.rows, rows))
+
+
+# --------------------------------------------------------------------------
+# Comparison one CRT block at a time, refereed by the unsplit canonical form
+
+SPLIT_SPECS = {
+    "p5-m4-full": GroupRingSpec(5, 2, (4,), 1, 2),
+    "p3-m2-full": GroupRingSpec(3, 2, (2,), 1, 3),
+    "p3-m4-partial": GroupRingSpec(3, 2, (4,), 1, 2),
+    "p3-m6-mixed": GroupRingSpec(3, 2, (6,), 1, 2),
+    "p5-m3": GroupRingSpec(5, 2, (3,), 1, 2),
+    "p5-two-axes": GroupRingSpec(5, 2, (5, 4, 2), 1, 2),
+    "p3-group": GroupRingSpec(3, 2, (3, 3), 1, 2),
+    "p3-m4-k21-object": GroupRingSpec(3, 21, (4,), 1, 2),
+}
+
+# A factor of a generator: p, T_1, delta_i - c, a random element r, or
+# T_1 + p*r, whose ideal need not be stable under the automorphisms of a
+# block of degree 2.
+FACTORS = st.one_of(
+    st.just(("p",)), st.just(("t",)),
+    st.tuples(st.just("delta"), st.integers(1, 3), st.integers(0, 4)),
+    st.tuples(st.sampled_from(["random", "t+p*random"]), st.integers(0, 2**32 - 1)),
+)
+GENERATORS = st.lists(st.lists(FACTORS, max_size=3), min_size=1, max_size=3)
+
+
+def build(spec, factors):
+    x = one(spec)
+    for f in factors:
+        if f[0] == "p":
+            x = x * spec.p
+        elif f[0] == "t":
+            x = x * tvar(spec, 1)
+        elif f[0] == "delta":
+            x = x * (delta(spec, (f[1] - 1) % spec.s + 1) - const(spec, f[2]))
+        else:
+            r = random_element(spec, np.random.default_rng(f[1]))
+            x = x * (r if f[0] == "random" else tvar(spec, 1) + r * spec.p)
+    return x
+
+
+def canonical_contains(I, x):
+    return _reduce(x.coeffs, I.canonical)
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
+def test_block_key_matches_canonical(name):
+    spec = SPLIT_SPECS[name]
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(gens_i=GENERATORS, gens_j=GENERATORS, member=st.lists(FACTORS, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def check(gens_i, gens_j, member, seed):
+        I = Ideal(spec, [build(spec, g) for g in gens_i])
+        J = Ideal(spec, [build(spec, g) for g in gens_j])
+        # The same ideal from another generating set: equal by construction.
+        rng = np.random.default_rng(seed)
+        a = I.generators[0]
+        K = Ideal(spec, [a + mul(random_element(spec, rng), b) for b in I.generators[1:]]
+                  + [mul(random_element(spec, rng), a)] + list(I.generators[1:]) + [a])
+        assert ideal_equal(I, K) and I.canonical == K.canonical
+        assert ideal_equal(I, J) == (I.canonical == J.canonical)
+        assert ideal_equal(ideal_sum(I, J), I) == (ideal_sum(I, J).canonical == I.canonical)
+        x = build(spec, member)
+        assert I.contains(x) == canonical_contains(I, x)
+        assert J.contains(x) == canonical_contains(J, x)
+        y = mul(x, a)
+        assert I.contains(y) and canonical_contains(I, y)
+
+    check()
+
+
+def test_block_count():
+    counts = {name: 1 if _split(spec) is None else len(_split(spec).blocks)
+              for name, spec in SPLIT_SPECS.items()}
+    assert counts == {"p5-m4-full": 4, "p3-m2-full": 2, "p3-m4-partial": 3,
+                      "p3-m6-mixed": 2, "p5-m3": 2, "p5-two-axes": 8, "p3-group": 1,
+                      "p3-m4-k21-object": 3}
+    spec = SPLIT_SPECS["p3-group"]
+    I = Ideal(spec, [tvar(spec, 1)])
+    assert I.key == (I.canonical,)
+
+
+def factor_element(spec, axis, F):
+    """F(delta_axis) as a ring element."""
+    x = zero(spec)
+    for a, c in enumerate(F):
+        x = x + delta(spec, axis, a) * c
+    return x
+
+
+@pytest.mark.parametrize("name", sorted(n for n in SPLIT_SPECS if n != "p3-group"))
+def test_every_block_decides(name):
+    """(F_j(delta_i) : i) vanishes in exactly one block and is the whole
+    ring in the others, so each block alone separates it from R."""
+    spec = SPLIT_SPECS[name]
+    split = _split(spec)
+    factors = [crt_factors(spec.p, spec.k, spec.orders[axis]) for axis in split.axes]
+    R = unit_ideal(spec)
+    for choice in itertools.product(*(range(len(f)) for f in factors)):
+        gens = [factor_element(spec, axis + 1, f[j])
+                for axis, f, j in zip(split.axes, factors, choice)]
+        I = Ideal(spec, gens)
+        assert I.canonical != R.canonical
+        assert not ideal_equal(I, R)
+        assert not I.contains(one(spec))
+        # Adding p^(k-1) changes the ideal in that block only.
+        J = ideal_sum(I, Ideal(spec, [const(spec, spec.p ** (spec.k - 1))]))
+        assert not ideal_equal(I, J)
+        assert ideal_equal(I, J) == (I.canonical == J.canonical)
+        assert not I.contains(const(spec, spec.p ** (spec.k - 1)))
+
+
+@pytest.mark.parametrize("p,m,degrees", [
+    (5, 4, [1, 1, 1, 1]), (3, 2, [1, 1]), (3, 4, [1, 1, 2]), (3, 6, [3, 3]),
+    (5, 3, [1, 2]), (3, 8, [1, 1, 2, 2, 2]), (5, 12, [1, 1, 1, 1, 2, 2, 2, 2]),
+    (3, 9, [9]), (5, 5, [5]), (7, 5, [1, 4]),
+])
+@pytest.mark.parametrize("k", [1, 2, 4, 21])
+def test_crt_factors_lift_x_m_minus_1(p, m, degrees, k):
+    mod = p**k
+    factors = crt_factors(p, k, m)
+    assert sorted(len(F) - 1 for F in factors) == degrees
+    assert all(F[-1] == 1 and all(0 <= c < mod for c in F) for F in factors)
+    product = [1]
+    for F in factors:
+        product = _pmul(product, list(F), mod)
+    assert product == [mod - 1] + [0] * (m - 1) + [1]
+    for F, G in itertools.combinations(factors, 2):
+        assert _pxgcd(list(F), list(G), p)[0] == [1]
+
+
+def test_crt_factors_of_mixed_order_are_exact():
+    # x^6 - 1 = (x^3 - 1)(x^3 + 1) over Z, and mod 3 these are (x - 1)^3
+    # and (x + 1)^3, so the Hensel lifts are these two at every k.
+    for k in (1, 3, 21):
+        mod = 3**k
+        assert set(crt_factors(3, k, 6)) == {(mod - 1, 0, 0, 1), (1, 0, 0, 1)}

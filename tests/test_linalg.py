@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from iwafit import GroupRingSpec
 from iwafit.linalg import (
     CoeffMatrix,
-    HowellBuilder,
     _arithmetic,
     howell_form,
     howell_span_rows,
@@ -26,6 +25,8 @@ from iwafit.linalg import (
     residue_dtype,
     same_span,
 )
+
+from referees import HowellBuilder
 
 
 def enumerate_span(rows, mod, ncols):
