@@ -782,25 +782,24 @@ def all_characters(spec: GroupRingSpec):
 
 
 def char_eval(chi: Character, x: RingElement) -> CyclotomicElement:
-    """Substitute chi(delta_i) for delta_i, keeping the T variables."""
+    """Substitute chi(delta_i) for delta_i, keeping the T variables.
+
+    The group monomial delta^a goes to zeta_e^W(a), with
+    W(a) = sum_i (e / m_i) * t_i * a_i mod e, so the value is one product
+    of the (|G|, phi(e)) table of those powers with the (|G|, N^d)
+    coefficients of x.
+    """
     spec = x.spec
     if spec != chi.spec:
         raise SpecMismatchError("character and element specs differ")
     e = chi.e
     mod = spec.modulus
-    zpow = _zeta_powers(e, mod)
-    deg = zpow.shape[1]
-    tsize = spec.N**spec.d
     G = spec.group_size
-    shaped = x.coeffs.reshape(G, tsize).astype(object)
-    out = np.zeros((deg, tsize), dtype=object)
-    # Walk the group monomials; G is small at desk scale.
-    import itertools
-
-    for gi, a in enumerate(itertools.product(*(range(m) for m in spec.orders))) if spec.s else [(0, ())]:
-        row = shaped[gi]
-        if not np.any(row):
-            continue
-        w = sum((e // m) * t * ai for m, t, ai in zip(spec.orders, chi.exponents, a)) % e
-        out = (out + zpow[w][:, None] * row[None, :]) % mod
+    # W in the order of the group monomials, the last axis fastest.
+    W = np.zeros(1, dtype=np.int64)
+    for m, t in zip(spec.orders, chi.exponents):
+        W = ((W[:, None] + (e // m) * t * np.arange(m)) % e).ravel()
+    dtype = residue_dtype(mod, inner=G)
+    zpow = _zeta_powers(e, mod)[W].astype(dtype)
+    out = zpow.T @ x.coeffs.reshape(G, -1).astype(dtype, copy=False) % mod
     return CyclotomicElement(mod, e, out)

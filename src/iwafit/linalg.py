@@ -25,13 +25,26 @@ algorithms for linear algebra modulo N", 1998):
 
 A product sums at most ``width`` terms, each below (mod - 1)^2.  One policy
 (``residue_dtype`` for stored residues, ``_arithmetic`` for the kernel)
-picks where that arithmetic is exact:
+picks where that arithmetic is exact.  The first two tiers and the last
+delay reduction: products are raw ``*`` and ``@``, reduced only when a sum
+is complete.
 
 - float64 (BLAS products, reductions ``x - floor(x/mod)*mod``) while
   ``PANEL*(mod-1)^2 + mod < 2^53``, so every partial sum is an integer that
   float64 holds exactly;
 - int64 for ``mod < 2^31`` (``mod^2 < 2^62``), with the panel cut to the
   largest width whose products stay below 2^63;
+- exact int64 (``EXACT_INT64``) while ``PANEL^2*mod < 2^53``, that is
+  2^31 <= mod < 2^41 (3^20 to 3^25): residues are int64 and every product
+  is reduced at once.  A product S of width w <= PANEL (w = 1 for a
+  scalar product) is computed twice: in int64, where it wraps mod 2^64,
+  and in float64 through BLAS, which holds every residue below 2^41
+  exactly.  The float error, below about w^2*mod^2*2^-53 < mod, puts
+  ``q = floor(S_float/mod)`` within one of floor(S/mod), so the wrapped
+  remainder ``S_int64 - q*mod`` lies in [-mod, 2mod), where int64 holds
+  it exactly, and a final ``% mod`` gives the residue.  Panel entries
+  still collect up to PANEL reduced products before they are reduced,
+  far below 2^63;
 - Python ints (dtype object) above that, in panels of ``OBJECT_PANEL``.
 
 The tests hold the kernel to a slow referee that inserts rows one at a
@@ -41,6 +54,7 @@ time (``HowellBuilder`` in ``tests/referees.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,12 +79,19 @@ def residue_dtype(mod: int, inner: int = 1):
     return np.int64 if mod * mod * max(inner, 1) < 2**62 else object
 
 
+# The tier of ``_arithmetic`` that stores int64 residues and reduces every
+# product at once; the other tiers are named by their dtype.
+EXACT_INT64 = "exact-int64"
+
+
 def _arithmetic(mod: int):
-    """(dtype, panel width) of the Howell kernel modulo ``mod``."""
+    """(tier, panel width) of the Howell kernel modulo ``mod``."""
     if PANEL * (mod - 1) ** 2 + mod < 2**53:
         return np.float64, PANEL
     if residue_dtype(mod) is np.int64:
         return np.int64, min(PANEL, (2**63 - mod) // (mod - 1) ** 2)
+    if PANEL * PANEL * mod < 2**53:
+        return EXACT_INT64, PANEL
     return object, OBJECT_PANEL
 
 
@@ -121,12 +142,34 @@ class CoeffMatrix:
     __hash__ = None
 
 
-def _reducer(dtype, mod: int):
-    """Elementwise reduction into [0, mod) for the kernel's dtype."""
-    if dtype is np.float64:
+class _Ops(NamedTuple):
+    """A tier's arithmetic: storage dtype, reduction into [0, mod),
+    elementwise product and matrix product."""
+
+    dtype: type
+    red: Callable
+    mul: Callable
+    dot: Callable
+
+
+def _ops(tier, mod: int) -> _Ops:
+    if tier is np.float64:
         fmod = float(mod)
-        return lambda x: x - np.floor(x / fmod) * fmod
-    return lambda x: x % mod
+        return _Ops(tier, lambda x: x - np.floor(x / fmod) * fmod, np.multiply, np.matmul)
+    if tier is EXACT_INT64:
+        fmod = float(mod)
+
+        def remainder(s, f):
+            # s is the int64 product wrapped mod 2^64 and f its float64 value.
+            return (s - np.floor(f / fmod).astype(np.int64) * mod) % mod
+
+        return _Ops(
+            np.int64,
+            lambda x: x % mod,
+            lambda a, b: remainder(a * b, np.multiply(a, b, dtype=np.float64)),
+            lambda a, b: remainder(a @ b, a.astype(np.float64) @ b.astype(np.float64)),
+        )
+    return _Ops(tier, lambda x: x % mod, np.multiply, np.matmul)
 
 
 def _min_valuation(vals: np.ndarray, p: int, k: int) -> tuple[int, int]:
@@ -139,11 +182,14 @@ def _min_valuation(vals: np.ndarray, p: int, k: int) -> tuple[int, int]:
     raise AssertionError("a zero entry was taken for a non-zero one")
 
 
-def _working_copy(mat, ncols: int, mod: int, dtype):
+def _working_copy(mat, ncols: int, mod: int, tier, dtype):
     """The non-zero rows of ``mat`` reduced mod ``mod``, in the kernel's
     dtype.  Zero rows go before the conversion, and this is the only
-    full-size copy the kernel makes."""
-    A = np.asarray(mat, dtype=object if dtype is object else np.int64)
+    full-size copy the kernel makes.  Python-int input to the exact int64
+    tier is narrowed only after the reduction."""
+    A = np.asarray(mat)
+    if not (A.dtype == object and tier in (object, EXACT_INT64)):
+        A = A.astype(object if tier is object else np.int64, copy=False)
     if A.ndim != 2 or (A.size and A.shape[1] != ncols):
         raise ValueError("matrix shape does not match ncols")
     keep = np.flatnonzero(np.any(A, axis=1))
@@ -153,7 +199,7 @@ def _working_copy(mat, ncols: int, mod: int, dtype):
     return M
 
 
-def _eliminate(M, p: int, k: int, width: int, red):
+def _eliminate(M, p: int, k: int, width: int, ops: _Ops):
     """Echelon rows of the span of M, as (H, pivot columns, valuations).
 
     Row i of H has its pivot p^e_i in column cols[i] and zeros left of it.
@@ -161,6 +207,7 @@ def _eliminate(M, p: int, k: int, width: int, red):
     """
     mod = p**k
     dtype = M.dtype
+    red, mul, dot = ops.red, ops.mul, ops.dot
     ncols = M.shape[1]
     H = np.zeros((ncols, ncols), dtype=dtype)
     cols: list[int] = []
@@ -190,9 +237,9 @@ def _eliminate(M, p: int, k: int, width: int, red):
             r = int(nz[ri])
             pe = p**e
             inv = pow(int(c[ri]) // pe, -1, mod)
-            prow = red(red(P[r, j:]) * inv)
+            prow = red(mul(red(P[r, j:]), inv))
             trail = Tr[r] if r < n else Ta[r - n]
-            T[npiv] = red(red(trail - C[r, :npiv] @ T[:npiv]) * inv)
+            T[npiv] = red(mul(red(trail - dot(C[r, :npiv], T[:npiv])), inv))
             H[len(cols), c0 + j:c0 + w] = prow
             H[len(cols), c0 + w:] = T[npiv]
             cols.append(c0 + j)
@@ -200,14 +247,14 @@ def _eliminate(M, p: int, k: int, width: int, red):
             # e is minimal among the non-zero entries, so the division is exact.
             c //= pe
             c[ri] = 0
-            P[nz, j + 1:] -= c[:, None] * prow[1:]
+            P[nz, j + 1:] -= mul(c[:, None], prow[1:])
             C[nz, npiv] = c
             P[r] = 0
             live[r] = False
             if e > 0:
                 scale = p ** (k - e)
-                P[n + appended, j:] = red(prow * scale)
-                Ta[appended] = red(T[npiv] * scale)
+                P[n + appended, j:] = red(mul(prow, scale))
+                Ta[appended] = red(mul(T[npiv], scale))
                 live[n + appended] = True
                 appended += 1
             npiv += 1
@@ -218,15 +265,16 @@ def _eliminate(M, p: int, k: int, width: int, red):
             touched = np.flatnonzero(np.any(C, axis=1))
             for s in range(0, len(touched), _ROW_CHUNK):
                 t = touched[s:s + _ROW_CHUNK]
-                Tr[t] = red(Tr[t] - C[t] @ T[:npiv])
+                Tr[t] = red(Tr[t] - dot(C[t], T[:npiv]))
         del M, P, C
         M = Tr[np.any(Tr, axis=1)]
         c0 += w
     return H[:len(cols)], cols, es
 
 
-def _back_substitute(H, cols: list[int], es: list[int], p: int, width: int, red):
+def _back_substitute(H, cols: list[int], es: list[int], p: int, width: int, ops: _Ops):
     """Reduce every entry above a pivot p^e into [0, p^e), in place."""
+    red, mul, dot = ops.red, ops.mul, ops.dot
     cols = np.asarray(cols)
     for i0 in range(0, len(H), width):
         i1 = min(i0 + width, len(H))
@@ -243,27 +291,28 @@ def _back_substitute(H, cols: list[int], es: list[int], p: int, width: int, red)
             nz = np.flatnonzero(q)
             if len(nz):
                 Q[nz, t] = q[nz]
-                S[nz, t + 1:] -= q[nz, None] * Hbc[t, t + 1:]
+                S[nz, t + 1:] -= mul(q[nz, None], Hbc[t, t + 1:])
         touched = np.flatnonzero(np.any(Q, axis=1))
         if len(touched):
-            H[touched, b0:] = red(H[touched, b0:] - Q[touched] @ Hb)
+            H[touched, b0:] = red(H[touched, b0:] - dot(Q[touched], Hb))
 
 
 def howell_span_rows(p: int, k: int, ncols: int, mat) -> list[np.ndarray]:
     """Howell normal form rows of the row span of a stacked matrix.
 
     Blocked elimination, then blocked back-substitution, in the arithmetic
-    the module docstring describes.  Rows come back in pivot order, as
-    int64 for moduli below 2^31 and as Python ints (object) above.
+    the module docstring describes: float64 or int64 with delayed
+    reduction below 2^31, exact int64 with every product reduced from 2^31
+    to 2^41, Python ints above.  Rows come back in pivot order, as int64
+    for moduli below 2^31 and as Python ints (object) above, whatever the
+    tier.
     """
     mod = p**k
-    dtype, width = _arithmetic(mod)
-    red = _reducer(dtype, mod)
-    H, cols, es = _eliminate(_working_copy(mat, ncols, mod, dtype), p, k, width, red)
-    _back_substitute(H, cols, es, p, width, red)
-    if dtype is np.float64:
-        H = H.astype(np.int64)
-    return [row for row in H]
+    tier, width = _arithmetic(mod)
+    ops = _ops(tier, mod)
+    H, cols, es = _eliminate(_working_copy(mat, ncols, mod, tier, ops.dtype), p, k, width, ops)
+    _back_substitute(H, cols, es, p, width, ops)
+    return [row for row in H.astype(residue_dtype(mod), copy=False)]
 
 
 def howell_form(A: CoeffMatrix) -> CoeffMatrix:

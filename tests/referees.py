@@ -3,15 +3,18 @@
 ``HowellBuilder`` inserts rows one at a time into a Howell form, the
 referee for ``iwafit.linalg.howell_span_rows``; ``fitting_ideal_naive``
 expands every maximal minor by cofactors, the referee for
-``iwafit.fitting.fitting_ideal``.  No library path uses either.
+``iwafit.fitting.fitting_ideal``; ``char_eval_naive`` walks the group
+monomials one at a time, the referee for ``iwafit.groupring.char_eval``.
+No library path uses any of them.
 """
 
 from itertools import combinations
 
 import numpy as np
 
+from iwafit.errors import SpecMismatchError
 from iwafit.fitting import PresentedModule
-from iwafit.groupring import mul, zero
+from iwafit.groupring import Character, CyclotomicElement, RingElement, _zeta_powers, mul, zero
 from iwafit.ideals import Ideal, unit_ideal, zero_ideal
 from iwafit.linalg import residue_dtype
 
@@ -123,3 +126,28 @@ def fitting_ideal_naive(m: PresentedModule) -> Ideal:
 
     gens = [det(list(range(a)), list(cols)) for cols in combinations(range(b), a)]
     return Ideal(spec, gens)
+
+
+def char_eval_naive(chi: Character, x: RingElement) -> CyclotomicElement:
+    """Substitute chi(delta_i) for delta_i, keeping the T variables."""
+    spec = x.spec
+    if spec != chi.spec:
+        raise SpecMismatchError("character and element specs differ")
+    e = chi.e
+    mod = spec.modulus
+    zpow = _zeta_powers(e, mod)
+    deg = zpow.shape[1]
+    tsize = spec.N**spec.d
+    G = spec.group_size
+    shaped = x.coeffs.reshape(G, tsize).astype(object)
+    out = np.zeros((deg, tsize), dtype=object)
+    # Walk the group monomials; G is small at desk scale.
+    import itertools
+
+    for gi, a in enumerate(itertools.product(*(range(m) for m in spec.orders))) if spec.s else [(0, ())]:
+        row = shaped[gi]
+        if not np.any(row):
+            continue
+        w = sum((e // m) * t * ai for m, t, ai in zip(spec.orders, chi.exponents, a)) % e
+        out = (out + zpow[w][:, None] * row[None, :]) % mod
+    return CyclotomicElement(mod, e, out)

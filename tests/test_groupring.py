@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwafit import (
     GroupRingSpec,
@@ -30,6 +32,7 @@ from iwafit import (
 from iwafit.groupring import multiplication_rows
 
 from conftest import random_element
+from referees import char_eval_naive
 
 
 def naive_mul(x, y):
@@ -239,6 +242,32 @@ def test_char_eval_is_additive(rng):
 
         rhs_coeffs = (char_eval(chi, x).coeffs + char_eval(chi, y).coeffs) % spec.modulus
         assert _np.array_equal(lhs.coeffs, rhs_coeffs)
+
+
+@pytest.mark.parametrize("spec", [
+    GroupRingSpec(5, 4, (5, 4), 1, 2),  # prime-to-p part splits over Z_5
+    GroupRingSpec(3, 3, (3, 9), 1, 2),  # a p-group
+    GroupRingSpec(3, 2, (), 2, 3),  # the trivial group
+    GroupRingSpec(3, 21, (3, 2), 1, 3),  # Python-int coefficients
+], ids=lambda spec: f"p{spec.p}k{spec.k}orders{spec.orders}")
+def test_char_eval_matches_monomial_walk(spec):
+    chars = list(all_characters(spec))
+    G = spec.group_size
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), which=st.integers(0, len(chars) - 1),
+           density=st.sampled_from([0.0, 0.3, 1.0]))
+    def check(seed, which, density):
+        rng = np.random.default_rng(seed)
+        # Whole group rows zero or dense, and some coefficients at mod - 1.
+        coeffs = random_element(spec, rng).coeffs.reshape(G, -1).copy()
+        coeffs[rng.random(G) >= density] = 0
+        coeffs[rng.random(coeffs.shape) < 0.2] = spec.modulus - 1
+        x = from_vector(spec, coeffs.ravel())
+        chi = chars[which]
+        assert char_eval(chi, x) == char_eval_naive(chi, x)
+
+    check()
 
 
 def test_cached_spec_values_stay_out_of_identity():

@@ -17,8 +17,11 @@ from hypothesis import strategies as st
 
 from iwafit import GroupRingSpec
 from iwafit.linalg import (
+    EXACT_INT64,
+    PANEL,
     CoeffMatrix,
     _arithmetic,
+    _ops,
     howell_form,
     howell_span_rows,
     member,
@@ -156,7 +159,10 @@ TIERS = [
     (3, 17, np.int64, 8),
     (3, 19, np.int64, 8),  # panels of 6 columns
     (2147483647, 1, np.int64, 4),  # 2^31 - 1: panels of 2 columns
-    (3, 21, object, 4),
+    (2147483659, 1, EXACT_INT64, 4),  # the first prime above 2^31
+    (3, 21, EXACT_INT64, 4),
+    (2199023255531, 1, EXACT_INT64, 4),  # largest prime with 64^2 * q < 2^53
+    (2199023255579, 1, object, 4),  # the next prime, past the exact bound
     (3, 70, object, 4),
 ]
 
@@ -181,10 +187,52 @@ def test_kernel_matches_builder(p, k, tier, examples):
 def test_residue_dtype_thresholds():
     assert residue_dtype(2**31 - 1) is np.int64
     assert residue_dtype(2147483659) is object
-    assert _arithmetic(2147483659) == (object, 16)
+    assert _arithmetic(2147483659) == (EXACT_INT64, 64)
+    assert _arithmetic(2199023255531) == (EXACT_INT64, 64)
+    assert _arithmetic(2199023255579) == (object, 16)
     # A ring product sums up to `size` products: 3^38 * 3 < 2^62 <= 3^38 * 6.
     assert GroupRingSpec(3, 19, (3,), 0, 1).dtype() is np.int64
     assert GroupRingSpec(3, 19, (3,), 1, 2).dtype() is object
+
+
+@pytest.mark.parametrize("mod", [2147483659, 3**21, 3**25, 2199023255531])
+def test_exact_int64_products(mod):
+    # Residues at and near mod - 1 give the largest float error in the
+    # quotient; every product must come back reduced into [0, mod).
+    rnd = random.Random(mod)
+    ops = _ops(EXACT_INT64, mod)
+
+    def residues(shape):
+        flat = [mod - 1 - rnd.randrange(4) if rnd.random() < 0.5 else rnd.randrange(mod)
+                for _ in range(int(np.prod(shape)))]
+        return np.array(flat, dtype=object).reshape(shape)
+
+    A, B = residues((40, PANEL)), residues((PANEL, 30))
+    A[0], B[:, 0] = mod - 1, mod - 1
+    for got, want in [
+        (ops.dot(A.astype(np.int64), B.astype(np.int64)), A @ B % mod),
+        (ops.mul(A.astype(np.int64), B[:, 0].astype(np.int64)), A * B[:, 0] % mod),
+        (ops.mul(A[:, 0].astype(np.int64), mod - 1), A[:, 0] * (mod - 1) % mod),
+    ]:
+        assert got.dtype == np.int64
+        assert [int(x) for x in got.ravel()] == [int(x) for x in want.ravel()]
+
+
+def test_exact_tier_reduces_wide_input_first():
+    # Negative entries and Python ints >= 2^63 must be reduced before the
+    # tier narrows its input to int64.
+    p, k, ncols = 3, 21, 70
+    mod = p**k
+    rnd = random.Random(21)
+    R = structured_rows(7, p, k, 90, ncols)
+    W = np.array([[int(x) + mod * rnd.choice([-5, -1, 0, 2**31, 2**40]) for x in row] for row in R],
+                 dtype=object)
+    assert any(x < 0 for x in W.ravel()) and any(x >= 2**63 for x in W.ravel())
+    rows = howell_span_rows(p, k, ncols, W)
+    assert all(r.dtype == object and all(type(x) is int for x in r) for r in rows)
+    assert CoeffMatrix(p, k, ncols, tuple(rows)) == builder_form(p, k, ncols, W)
+    reduced = howell_span_rows(p, k, ncols, R)
+    assert [list(r) for r in rows] == [list(r) for r in reduced]
 
 
 def test_scalar_closure_property(rng):
