@@ -108,12 +108,8 @@ def euler_factor_closed(data: DecompositionData,
 
 def _teichmuller(q: int, p: int, k: int) -> int:
     """The mod p^k root of unity congruent to q mod p."""
-    mod = p**k
-    pk1 = p ** (k - 1)
-    # Exponent that is 1 mod (p - 1) and 0 mod p^(k - 1) kills the
-    # principal-unit part of q.
-    e = pk1 * pow(pk1, -1, p - 1)
-    return pow(q, e, mod)
+    # p^(k - 1) is 1 mod p - 1 and kills the principal-unit part of q.
+    return pow(q, p ** (k - 1), p**k)
 
 
 def euler_character(data: DecompositionData) -> tuple[tuple[int, ...], int]:
@@ -139,7 +135,7 @@ def euler_character(data: DecompositionData) -> tuple[tuple[int, ...], int]:
             f"of q does not have order dividing m_v = {data.m_v}"
         )
     c = data.frobenius_gamma
-    if c % p == 0 or c == 0:
+    if c % p == 0:
         raise IwafitError(
             f"gamma exponent {c} admits no character with kappa(frobenius) = q"
         )
@@ -180,11 +176,6 @@ def tate_twist_ideal(r: int, kappa_delta, kappa_gamma, I: Ideal) -> Ideal:
     for v in tuple(kappa_delta) + tuple(kappa_gamma):
         if v % spec.p == 0:
             raise ValueError(f"character value {v} is not a unit mod p^k")
-    h = twist_hom(
-        spec,
-        tuple(pow(v, r, mod) if r >= 0 else pow(pow(v, -1, mod), -r, mod)
-              for v in kappa_delta),
-        tuple(pow(v, r, mod) if r >= 0 else pow(pow(v, -1, mod), -r, mod)
-              for v in kappa_gamma),
-    )
+    h = twist_hom(spec, tuple(pow(v, r, mod) for v in kappa_delta),
+                  tuple(pow(v, r, mod) for v in kappa_gamma))
     return Ideal(spec, [apply_hom(h, g) for g in I.generators])

@@ -4,6 +4,12 @@ The ring is R = (Z/p^k)[delta_1, ..., delta_s, T_1, ..., T_d] subject to
 delta_i^(m_i) = 1 and T_j^N = 0.  Elements are dense coefficient vectors
 indexed by the monomials delta^a * T^b with 0 <= a_i < m_i, 0 <= b_j < N.
 Everything here is immutable; operations are pure functions.
+
+Every change of coordinates that acts one axis at a time (the quotients,
+the twists, the parser's tau basis and the CRT blocks of ``ideals``) is
+``along_axes``: one (r_out, r_in) matrix per axis of the coefficient
+tensor, of shape ``spec.radices``, in ``residue_dtype(p^k, inner=r_in)``.
+Homomorphism images are cast to the target spec's dtype.
 """
 
 from __future__ import annotations
@@ -272,11 +278,7 @@ def mul(x: RingElement, y: RingElement) -> RingElement:
     spec = x.spec
     B = spec.size
     table = _mul_table(spec)
-    if spec.dtype() is object:
-        acc = np.empty(B + 1, dtype=object)
-        acc[:] = 0
-    else:
-        acc = np.zeros(B + 1, dtype=np.int64)
+    acc = np.zeros(B + 1, dtype=spec.dtype())
     yc = y.coeffs
     for i in np.nonzero(x.coeffs)[0]:
         # table[i] is injective away from the drop bucket B, so fancy
@@ -322,19 +324,9 @@ def norm_element(spec: GroupRingSpec, subset=None) -> RingElement:
     return result
 
 
-def augmentation_spec(spec: GroupRingSpec) -> GroupRingSpec:
-    return GroupRingSpec(spec.p, spec.k, (), spec.d, spec.N)
-
-
 def augmentation(x: RingElement) -> RingElement:
     """Send every group generator to 1, keeping the T variables."""
-    spec = x.spec
-    target = augmentation_spec(spec)
-    shaped = x.coeffs.reshape(spec.radices if spec.radices else (1,))
-    summed = shaped
-    for _ in range(spec.s):
-        summed = summed.sum(axis=0)
-    return RingElement(target, summed.reshape(target.size) % spec.modulus)
+    return apply_hom(quotient_hom(x.spec, kill_delta=range(1, x.spec.s + 1)), x)
 
 
 # --------------------------------------------------------------------------
@@ -447,27 +439,33 @@ def inclusion_hom(source: GroupRingSpec, target: GroupRingSpec,
                    delta_images=delta_images, gamma_images=gamma_images)
 
 
+def along_axes(spec: GroupRingSpec, coeffs: np.ndarray, mats) -> np.ndarray:
+    """Apply ``mats[i]``, an (r_out, r_in) matrix or None, along axis i of
+    the coefficient tensor of ``coeffs`` (shape ``spec.radices``), mod p^k.
+
+    Axes past ``len(mats)`` are left alone.  Each product sums r_in terms,
+    so matrix and tensor are cast to ``residue_dtype(p^k, inner=r_in)``;
+    the result is in the dtype of the last matrix applied.
+    """
+    mod = spec.modulus
+    a = coeffs.reshape(spec.radices)
+    for axis, mat in enumerate(mats):
+        if mat is None:
+            continue
+        dtype = residue_dtype(mod, inner=mat.shape[1])
+        a = np.tensordot(mat.astype(dtype, copy=False), a.astype(dtype, copy=False),
+                         axes=([1], [axis]))
+        a = np.moveaxis(a, 0, axis) % mod
+    return a
+
+
 @lru_cache(maxsize=None)
 def _twist_t_matrix(spec: GroupRingSpec, u: int) -> np.ndarray:
-    """N x N matrix of the substitution T -> (u - 1) + u*T on T-power columns."""
+    """N x N matrix of the substitution T -> (u - 1) + u*T on T-power columns:
+    T^b goes to sum_i C(b, i) u^i (u - 1)^(b - i) T^i."""
     N, mod = spec.N, spec.modulus
-    cols = np.zeros((N, N), dtype=object)
-    cols[0, 0] = 1
-    base = np.zeros(N, dtype=object)
-    base[0] = (u - 1) % mod
-    if N > 1:
-        base[1] = u % mod
-    cur = np.zeros(N, dtype=object)
-    cur[0] = 1
-    for b in range(1, N):
-        nxt = np.zeros(N, dtype=object)
-        for i in range(N):
-            if cur[i]:
-                hi = min(N, i + 2)
-                nxt[i:hi] = (nxt[i:hi] + cur[i] * base[: hi - i]) % mod
-        cur = nxt
-        cols[:, b] = cur
-    return cols
+    return np.array([[math.comb(b, i) * pow(u, i, mod) * pow(u - 1, b - i, mod) % mod
+                      if i <= b else 0 for b in range(N)] for i in range(N)], dtype=object)
 
 
 def apply_hom(h: RingHom, x: RingElement) -> RingElement:
@@ -476,29 +474,16 @@ def apply_hom(h: RingHom, x: RingElement) -> RingElement:
         raise SpecMismatchError("element does not live on the hom's source spec")
     spec, mod = h.source, h.source.modulus
     if h.kind == "quotient":
-        shaped = x.coeffs.reshape(spec.radices if spec.radices else (1,))
-        # Sum over killed group axes (delta -> 1), slice killed T axes at 0.
-        for i in sorted(h.kill_delta, reverse=True):
-            shaped = shaped.sum(axis=i - 1)
-        kept_group = spec.s - len(h.kill_delta)
-        for j in sorted(h.kill_t, reverse=True):
-            shaped = np.take(shaped, 0, axis=kept_group + j - 1)
-        return RingElement(h.target, shaped.reshape(h.target.size) % mod)
-    if h.kind == "twist":
-        shaped = x.coeffs.reshape(spec.radices if spec.radices else (1,)).astype(object)
-        for i, (v, m) in enumerate(zip(h.delta_values, spec.orders)):
-            scale = np.array([pow(v, a, mod) for a in range(m)], dtype=object)
-            shape = [1] * shaped.ndim
-            shape[i] = m
-            shaped = shaped * scale.reshape(shape)
-        for j, u in enumerate(h.gamma_values):
-            axis = spec.s + j
-            mat = _twist_t_matrix(spec, u % mod)
-            shaped = np.moveaxis(np.tensordot(mat, shaped, axes=([1], [axis])), 0, axis)
-        out = _zeros(spec)
-        out[:] = shaped.reshape(spec.size) % mod
-        return RingElement(spec, out)
-    if h.kind == "inclusion":
+        # delta_i -> 1 sums the axis; T_j -> 0 keeps its constant term.
+        mats = [np.ones((1, m), dtype=np.int64) if i in h.kill_delta else None
+                for i, m in enumerate(spec.orders, 1)]
+        mats += [np.eye(1, spec.N, dtype=np.int64) if j in h.kill_t else None
+                 for j in range(1, spec.d + 1)]
+    elif h.kind == "twist":
+        mats = [np.diag(np.array([pow(v, a, mod) for a in range(m)], dtype=object))
+                for v, m in zip(h.delta_values, spec.orders)]
+        mats += [_twist_t_matrix(spec, u) for u in h.gamma_values]
+    elif h.kind == "inclusion":
         result = zero(h.target)
         # Precompute generator powers in the target ring.
         dpow = [[one(h.target)] for _ in range(spec.s)]
@@ -521,7 +506,10 @@ def apply_hom(h: RingHom, x: RingElement) -> RingElement:
                     term = mul(term, tpow[j][exps[spec.s + j]])
             acc = (acc + coeff * term.coeffs) % mod
         return RingElement(h.target, acc)
-    raise ValueError(f"unknown hom kind {h.kind!r}")
+    else:
+        raise ValueError(f"unknown hom kind {h.kind!r}")
+    image = along_axes(spec, x.coeffs, mats)
+    return RingElement(h.target, image.reshape(h.target.size).astype(h.target.dtype()))
 
 
 # --------------------------------------------------------------------------
@@ -708,24 +696,24 @@ def crt_factors(p: int, k: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(lifted)
 
 
+def power_residues(F, count: int, mod: int) -> np.ndarray:
+    """(count, deg F) array of the coefficients of x^a mod (F, mod) for a in
+    range(count), F monic with integer coefficients, low degree first."""
+    n = len(F) - 1
+    cur = [1] + [0] * (n - 1)
+    out = []
+    for _ in range(count):
+        out.append(cur)
+        top = cur[-1]
+        # x * cur, with x^n = -(F_0 + ... + F_(n-1) x^(n-1)).
+        cur = [(lo - top * f) % mod for lo, f in zip([0] + cur[:-1], F)]
+    return np.array(out, dtype=object)
+
+
 @lru_cache(maxsize=None)
 def _zeta_powers(e: int, modulus: int) -> np.ndarray:
     """x^w mod (Phi_e(x), modulus) for w in range(e); shape (e, phi(e))."""
-    phi = cyclotomic_poly(e)
-    deg = len(phi) - 1
-    out = np.zeros((e, deg), dtype=object)
-    cur = np.zeros(deg, dtype=object)
-    cur[0] = 1
-    for w in range(e):
-        out[w] = cur
-        nxt = np.roll(cur, 1)
-        top = nxt[0]
-        nxt[0] = 0
-        if top:
-            # Reduce x^deg = -(phi_0 + ... + phi_{deg-1} x^{deg-1}).
-            nxt = (nxt - top * np.array(phi[:deg], dtype=object)) % modulus
-        cur = nxt % modulus
-    return out
+    return power_residues(cyclotomic_poly(e), e, modulus)
 
 
 @dataclass(frozen=True)
@@ -775,8 +763,6 @@ class Character:
 
 
 def all_characters(spec: GroupRingSpec):
-    import itertools
-
     for t in itertools.product(*(range(m) for m in spec.orders)):
         yield Character(spec, t)
 

@@ -24,9 +24,15 @@ each split axis, taken before any multiplication matrix is built; its
 multiplication rows are sum_a kron(X_a, multiplication_rows(g_a)) over
 the monomials x^a of the quotients, X_a the multiplication by x^a, which
 is ``multiplication_rows`` of pi_b(g) itself when every F_j is linear.
-A spec without such an axis has one block and the key ``(canonical,)``.
-The canonical form stays the delta-basis Howell form of the whole ideal;
-only the printers compute it on a split spec.
+The reductions are one ``groupring.along_axes`` call per element, with
+the transposed CRT matrix on each split axis.
+
+The canonical form is the same construction for the one-block split
+``_Split((), (), ((),), spec)``, with no split axis: its only block image
+is g and its block rows are ``multiplication_rows(g)``.  So it is the
+delta-basis Howell form of the whole ideal, which only the printers
+compute on a split spec; a spec without a split axis has one block and
+the key ``(canonical,)``.
 """
 
 from __future__ import annotations
@@ -45,15 +51,17 @@ from .groupring import (
     GroupRingSpec,
     RingElement,
     all_characters,
+    along_axes,
     char_eval,
     crt_factors,
     from_vector,
     mul,
     multiplication_rows,
     one,
+    power_residues,
     zero,
 )
-from .linalg import CoeffMatrix, _reduce, howell_span_rows, residue_dtype
+from .linalg import CoeffMatrix, _reduce, howell_span_rows
 
 
 def _distinct_nonzero_positions(arrays) -> list[int]:
@@ -95,60 +103,36 @@ class _Split(NamedTuple):
     rest: GroupRingSpec  # the spec without the split axes
 
 
-def _power_residues(F: tuple[int, ...], m: int, mod: int) -> list[list[int]]:
-    """x^a mod F for a in range(m), as coefficient lists of length deg F."""
-    n = len(F) - 1
-    cur = [1] + [0] * (n - 1)
-    out = []
-    for _ in range(m):
-        out.append(cur)
-        top = cur[-1]
-        cur = [(lo - top * f) % mod for lo, f in zip([0] + cur[:-1], F)]
-    return out
-
-
 @lru_cache(maxsize=None)
-def _split(spec: GroupRingSpec) -> _Split | None:
-    """The CRT blocks of ``spec``, or None when no group axis splits."""
+def _split(spec: GroupRingSpec) -> _Split:
+    """The CRT blocks of ``spec``: one block, with no split axis, when no
+    group axis splits."""
     axes, crt, per_axis = [], [], []
-    mod = spec.modulus
     for axis, m in enumerate(spec.orders):
         factors = crt_factors(spec.p, spec.k, m)
         if len(factors) == 1:
             continue
-        # The products of the reduction sum m terms below mod^2.
-        mat = np.empty((m, m), dtype=residue_dtype(mod, m))
         offsets, off = [], 0
         for F in factors:
-            n = len(F) - 1
-            mat[:, off:off + n] = _power_residues(F, m, mod)
-            offsets.append((off, n))
-            off += n
+            offsets.append((off, len(F) - 1))
+            off += len(F) - 1
         axes.append(axis)
-        crt.append(mat)
+        crt.append(np.hstack([power_residues(F, m, spec.modulus) for F in factors]))
         per_axis.append(offsets)
-    if not axes:
-        return None
     rest = GroupRingSpec(spec.p, spec.k,
                          tuple(m for i, m in enumerate(spec.orders) if i not in axes),
                          spec.d, spec.N)
     return _Split(tuple(axes), tuple(crt), tuple(itertools.product(*per_axis)), rest)
 
 
-def _block_images(spec: GroupRingSpec, coeffs: np.ndarray) -> list[np.ndarray]:
-    """pi_b of the element with these coefficients, for every block b in
-    order, each as an (n_1, ..., n_S, rest size) array: n_i is the degree
-    of the block's factor on the i-th split axis.  ``[coeffs]`` on a spec
-    without a split axis."""
-    split = _split(spec)
-    if split is None:
-        return [coeffs]
-    mod = spec.modulus
-    a = coeffs.reshape(spec.radices)
+def _block_images(spec: GroupRingSpec, split: _Split, coeffs: np.ndarray) -> list[np.ndarray]:
+    """pi_b of the element of ``spec`` with these coefficients, for every
+    block b of ``split`` in order, each as an (n_1, ..., n_S, rest size)
+    array: n_i is the degree of the block's factor on the i-th split axis."""
+    mats = [None] * spec.s
     for axis, mat in zip(split.axes, split.crt):
-        a = np.moveaxis(np.tensordot(a.astype(mat.dtype), mat, axes=([axis], [0])) % mod,
-                        -1, axis)
-    a = np.moveaxis(a, split.axes, range(len(split.axes)))
+        mats[axis] = mat.T
+    a = np.moveaxis(along_axes(spec, coeffs, mats), split.axes, range(len(split.axes)))
     a = a.reshape(a.shape[:len(split.axes)] + (split.rest.size,))
     dtype = split.rest.dtype()
     return [np.ascontiguousarray(a[tuple(slice(off, off + n) for off, n in block)], dtype=dtype)
@@ -195,20 +179,11 @@ class Ideal:
         if self._canonical is None:
             with self._lock:
                 if self._canonical is None:
-                    self._canonical = self._canonicalize()
+                    # The Z/p^k-span of {g * b : g generator, b basis
+                    # monomial} is the whole ideal: the one block of the
+                    # unsplit ring.
+                    self._canonical, = self._block_forms(_Split((), (), ((),), self.spec))
         return self._canonical
-
-    def _canonicalize(self) -> CoeffMatrix:
-        # The Z/p^k-span of {g * b : g generator, b basis monomial} is the
-        # whole ideal, so one bulk Howell pass over the stacked
-        # multiplication matrices canonicalizes it.
-        spec = self.spec
-        blocks = [_nonzero_rows(multiplication_rows(g))
-                  for g in distinct_nonzero(self.generators)]
-        if not blocks:
-            return CoeffMatrix(spec.p, spec.k, spec.size, ())
-        rows = howell_span_rows(spec.p, spec.k, spec.size, np.vstack(blocks))
-        return CoeffMatrix(spec.p, spec.k, spec.size, tuple(rows))
 
     @property
     def key(self) -> tuple[CoeffMatrix, ...]:
@@ -216,7 +191,7 @@ class Ideal:
         ideals are equal iff their keys are.  ``(canonical,)`` on a spec
         without a split axis."""
         split = _split(self.spec)
-        if split is None:
+        if not split.axes:
             return (self.canonical,)
         if self._key is None:
             with self._lock:
@@ -225,8 +200,10 @@ class Ideal:
         return self._key
 
     def _block_forms(self, split: _Split) -> tuple[CoeffMatrix, ...]:
+        """One Howell pass per block over the stacked block rows of the
+        distinct non-zero generator images."""
         spec = self.spec
-        images = [_block_images(spec, g.coeffs) for g in distinct_nonzero(self.generators)]
+        images = [_block_images(spec, split, g.coeffs) for g in distinct_nonzero(self.generators)]
         forms = []
         for b, block in enumerate(split.blocks):
             ncols = split.rest.size * math.prod(n for _, n in block)
@@ -247,7 +224,8 @@ class Ideal:
         if x.spec != self.spec:
             raise SpecMismatchError("element does not live on the ideal's spec")
         return all(_reduce(image.reshape(-1), H)
-                   for image, H in zip(_block_images(self.spec, x.coeffs), self.key))
+                   for image, H in zip(_block_images(self.spec, _split(self.spec), x.coeffs),
+                                       self.key))
 
     def __repr__(self):
         return f"Ideal({len(self.generators)} generators over {self.spec})"

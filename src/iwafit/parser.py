@@ -17,8 +17,8 @@ Both directions work from per-spec tables (``_tables``, cached like the
 tables in ``groupring``):
 
 - per group axis of order m, the m x m binomial matrices between the
-  delta-power basis and the tau-power basis (delta = 1 + tau), in the
-  residue dtype ``residue_dtype(p^k, inner=m)``;
+  delta-power basis and the tau-power basis (delta = 1 + tau), applied
+  by ``groupring.along_axes``, which picks their residue dtype;
 - the print order of the monomials (total degree, then exponent tuple),
   each monomial's factor string and its total degree;
 - the flat-index stride, radix and axis of every name tau<i>, tau_<i>
@@ -57,6 +57,7 @@ from .groupring import (
     RingElement,
     _exponent_array,
     _zeros,
+    along_axes,
     const,
     delta,
     from_vector,
@@ -64,7 +65,6 @@ from .groupring import (
     one,
     tvar,
 )
-from .linalg import residue_dtype
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^(),]))"
@@ -114,12 +114,11 @@ def _tables(spec: GroupRingSpec) -> _Tables:
     mod = spec.modulus
     to_tau, from_tau = [], []
     for m in spec.orders:
-        dtype = residue_dtype(mod, inner=m)
         # delta^a = sum_e C(a, e) tau^e and tau^e = sum_a C(e, a) (-1)^(e-a) delta^a
         to_tau.append(np.array([[comb(a, e) % mod for a in range(m)]
-                                for e in range(m)], dtype=dtype))
+                                for e in range(m)], dtype=object))
         from_tau.append(np.array([[(-comb(e, a) if (e - a) % 2 else comb(e, a)) % mod
-                                   for e in range(m)] for a in range(m)], dtype=dtype))
+                                   for e in range(m)] for a in range(m)], dtype=object))
     exps = _exponent_array(spec)
     degree = exps.sum(axis=1)
     # A stable sort keeps equal degrees in flat order, which is the
@@ -140,16 +139,6 @@ def _tables(spec: GroupRingSpec) -> _Tables:
         if is_tau:
             names[f"tau_{axis + 1}"] = names[name]
     return _Tables(tuple(to_tau), tuple(from_tau), order, factors, degree, names)
-
-
-def _change_basis(spec: GroupRingSpec, coeffs: np.ndarray, mats) -> np.ndarray:
-    """Apply one m x m matrix along each group axis of a coefficient vector."""
-    shaped = coeffs.reshape(spec.radices)
-    for axis, mat in enumerate(mats):
-        shaped = np.tensordot(mat, shaped.astype(mat.dtype, copy=False),
-                              axes=([1], [axis]))
-        shaped = np.moveaxis(shaped, 0, axis) % spec.modulus
-    return shaped.reshape(spec.size)
 
 
 class _Parser:
@@ -205,7 +194,8 @@ class _Parser:
             tau = _zeros(self.spec)
             for index, c in monomials.items():
                 tau[index] = c % self.spec.modulus
-            rhs = from_vector(self.spec, _change_basis(self.spec, tau, self.tables.from_tau))
+            rhs = from_vector(self.spec, along_axes(self.spec, tau, self.tables.from_tau)
+                              .reshape(self.spec.size))
             value = rhs if value is None else value + rhs
         return value
 
@@ -352,7 +342,7 @@ def element_to_text(x: RingElement) -> str:
     """
     spec = x.spec
     tables = _tables(spec)
-    tau = _change_basis(spec, x.coeffs, tables.to_tau)
+    tau = along_axes(spec, x.coeffs, tables.to_tau).reshape(spec.size)
     order = tables.order[tau[tables.order] != 0]
     if not len(order):
         return "0"

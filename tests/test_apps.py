@@ -1,6 +1,8 @@
 """Euler factors, the untwisting character, and Tate twists."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from iwafit import (
     DecompositionData,
@@ -17,6 +19,7 @@ from iwafit import (
     tate_twist_ideal,
     tvar,
 )
+from iwafit.apps import _teichmuller
 from iwafit.errors import IwafitError
 from iwafit.paperchecks import euler_grid
 
@@ -34,6 +37,19 @@ def test_routes_agree_on_sample_points():
         closed = euler_factor_closed(data, assume_nzd=True)
         direct = euler_factor_direct(data, assume_nzd=True)
         assert frac_equal(closed, direct).equal
+
+
+@pytest.mark.parametrize("k", [1, 4, 21])
+def test_teichmuller_is_a_root_of_unity_lifting_q(k):
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(p=st.sampled_from([3, 5, 7, 11]), q=st.integers(1, 10**6))
+    def check(p, q):
+        assume(q % p)
+        omega = _teichmuller(q, p, k)
+        assert omega % p == q % p
+        assert pow(omega, p - 1, p**k) == 1
+
+    check()
 
 
 def test_grid_has_twelve_points():

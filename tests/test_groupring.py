@@ -1,6 +1,7 @@
 """Ring arithmetic, homomorphisms and characters of the truncated group ring."""
 
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from iwafit import (
     twist_hom,
     zero,
 )
-from iwafit.groupring import multiplication_rows
+from iwafit.groupring import along_axes, multiplication_rows
 
 from conftest import random_element
 from referees import char_eval_naive
@@ -144,6 +145,106 @@ def test_homs_are_multiplicative(hom_factory, rng):
     assert apply_hom(h, one(spec)) == one(h.target)
 
 
+# One spec per side of each dtype boundary of the per-axis matrices:
+# 3^19 has object coefficients but int64 matrices up to three columns,
+# every matrix at 7^11 but a one-column one is object (2 * 7^22 > 2^62),
+# and 3^21 is object throughout.
+DTYPE_SPECS = {
+    "3^3": GroupRingSpec(3, 3, (3, 2), 1, 3),
+    "3^19": GroupRingSpec(3, 19, (3, 2), 1, 3),
+    "7^11": GroupRingSpec(7, 11, (6,), 1, 2),
+    "3^21": GroupRingSpec(3, 21, (3, 2), 1, 2),
+}
+PRIMITIVE_ROOTS = {3: 2, 7: 3}  # generate (Z/p^k)^x for every k
+
+
+def root_of_unity(spec, m):
+    """A unit of order dividing m mod p^k: a twist value for an order-m axis."""
+    units = (spec.p - 1) * spec.p ** (spec.k - 1)
+    return pow(PRIMITIVE_ROOTS[spec.p], units // gcd(m, units), spec.modulus)
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_SPECS))
+@pytest.mark.parametrize("kind", ["kill-delta", "kill-t", "twist"])
+def test_homs_are_multiplicative_at_dtype_boundaries(kind, name, rng):
+    spec = DTYPE_SPECS[name]
+    if kind == "kill-delta":
+        h = quotient_hom(spec, kill_delta=(1,))
+    elif kind == "kill-t":
+        h = quotient_hom(spec, kill_t=(1,))
+    else:
+        h = twist_hom(spec, tuple(root_of_unity(spec, m) for m in spec.orders), (1,))
+    for _ in range(20):
+        x = random_element(spec, rng)
+        y = random_element(spec, rng)
+        assert apply_hom(h, mul(x, y)) == mul(apply_hom(h, x), apply_hom(h, y))
+        assert apply_hom(h, x + y) == apply_hom(h, x) + apply_hom(h, y)
+        assert apply_hom(h, x).coeffs.dtype == h.target.dtype()
+    assert apply_hom(h, one(spec)) == one(h.target)
+
+
+# Object-dtype rings whose quotients have int64 coefficients.
+@pytest.mark.parametrize("spec, kill_delta, kill_t", [
+    (GroupRingSpec(3, 19, (3,), 1, 4), (), (1,)),
+    (GroupRingSpec(3, 19, (3,), 1, 3), (1,), ()),
+    (GroupRingSpec(3, 19, (3, 3), 1, 2), (1, 2), ()),
+])
+def test_quotient_images_take_the_target_dtype(spec, kill_delta, kill_t, rng):
+    h = quotient_hom(spec, kill_delta, kill_t)
+    for _ in range(20):
+        x = random_element(spec, rng)
+        y = random_element(spec, rng)
+        image = apply_hom(h, x)
+        assert image.coeffs.dtype == h.target.dtype()
+        assert apply_hom(h, mul(x, y)) == mul(image, apply_hom(h, y))
+        if len(kill_delta) == spec.s and not kill_t:
+            assert augmentation(x) == image
+            assert augmentation(x).coeffs.dtype == h.target.dtype()
+            assert augmentation(mul(x, y)) == mul(augmentation(x), augmentation(y))
+
+
+def along_axes_naive(spec, coeffs, mats):
+    """``along_axes`` one coefficient at a time in Python ints."""
+    terms = {idx: int(c) for idx, c in zip(np.ndindex(spec.radices), coeffs)}
+    shape = list(spec.radices)
+    for axis, mat in enumerate(mats):
+        if mat is None:
+            continue
+        out = {}
+        for idx, c in terms.items():
+            for o in range(mat.shape[0]):
+                key = idx[:axis] + (o,) + idx[axis + 1:]
+                out[key] = out.get(key, 0) + int(mat[o, idx[axis]]) * c
+        terms = out
+        shape[axis] = mat.shape[0]
+    result = np.zeros(shape, dtype=object)
+    for idx, c in terms.items():
+        result[idx] = c % spec.modulus
+    return result
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_SPECS))
+def test_along_axes_matches_python_ints(name, rng):
+    """Random and all-maximal entries, with matrices that shrink, keep and
+    grow each axis: the dtype must follow the summed length r_in."""
+    spec = DTYPE_SPECS[name]
+    mod = spec.modulus
+    for fill in ("random", "top"):
+        for r_out in (1, 2, 4):
+            if fill == "top":
+                x = from_vector(spec, np.full(spec.size, mod - 1, dtype=object))
+                mats = [np.full((r_out, r), mod - 1, dtype=object) for r in spec.radices]
+            else:
+                x = random_element(spec, rng)
+                mats = [np.array([int.from_bytes(rng.bytes(16), "little") % mod
+                                  for _ in range(r_out * r)], dtype=object).reshape(r_out, r)
+                        for r in spec.radices]
+            for keep in range(len(mats)):
+                chosen = [mat if axis != keep else None for axis, mat in enumerate(mats)]
+                got = along_axes(spec, x.coeffs, chosen)
+                assert np.array_equal(got, along_axes_naive(spec, x.coeffs, chosen))
+
+
 def test_gamma_twist_multiplicative_below_truncation(rng):
     # the T-substitution is an exact hom of the untruncated ring, so the
     # hom property holds whenever the product stays below T-degree N
@@ -162,6 +263,16 @@ def test_twist_inverse_roundtrip(rng):
     h = twist_hom(spec, (10,), (4, 7))
     hinv = inverse_twist(h)
     for _ in range(30):
+        x = random_element(spec, rng)
+        assert apply_hom(hinv, apply_hom(h, x)) == x
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_SPECS))
+def test_twist_inverse_roundtrip_at_dtype_boundaries(name, rng):
+    spec = DTYPE_SPECS[name]
+    h = twist_hom(spec, tuple(root_of_unity(spec, m) for m in spec.orders), (1 + spec.p,))
+    hinv = inverse_twist(h)
+    for _ in range(20):
         x = random_element(spec, rng)
         assert apply_hom(hinv, apply_hom(h, x)) == x
 

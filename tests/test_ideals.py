@@ -16,6 +16,7 @@ from iwafit import (
     const,
     delta,
     frac_equal,
+    from_vector,
     frac_mul,
     ideal_equal,
     ideal_mul,
@@ -212,6 +213,8 @@ SPLIT_SPECS = {
     "p5-two-axes": GroupRingSpec(5, 2, (5, 4, 2), 1, 2),
     "p3-group": GroupRingSpec(3, 2, (3, 3), 1, 2),
     "p3-m4-k21-object": GroupRingSpec(3, 21, (4,), 1, 2),
+    # Linear blocks whose CRT products sum six terms: mod^2 < 2^62 < 2^63 < 6 * mod^2.
+    "p7-m6-k11": GroupRingSpec(7, 11, (6,), 1, 2),
 }
 
 # A factor of a generator: p, T_1, delta_i - c, a random element r, or
@@ -276,10 +279,25 @@ def test_block_count():
               for name, spec in SPLIT_SPECS.items()}
     assert counts == {"p5-m4-full": 4, "p3-m2-full": 2, "p3-m4-partial": 3,
                       "p3-m6-mixed": 2, "p5-m3": 2, "p5-two-axes": 8, "p3-group": 1,
-                      "p3-m4-k21-object": 3}
+                      "p3-m4-k21-object": 3, "p7-m6-k11": 6}
     spec = SPLIT_SPECS["p3-group"]
     I = Ideal(spec, [tvar(spec, 1)])
     assert I.key == (I.canonical,)
+
+
+def test_block_key_with_maximal_coefficients():
+    """Every coefficient p^k - 1, so each CRT product is as large as it can
+    be: g = -(1 + T) * N(), which lives in the trivial-character block only."""
+    spec = SPLIT_SPECS["p7-m6-k11"]
+    g = from_vector(spec, np.full(spec.size, spec.modulus - 1, dtype=object))
+    I = Ideal(spec, [g])
+    N = Ideal(spec, [norm_element(spec)])
+    assert ideal_equal(I, N) and I.canonical == N.canonical
+    assert not ideal_equal(I, unit_ideal(spec))
+    for x in (g, norm_element(spec), one(spec), delta(spec, 1) - one(spec), tvar(spec, 1), g * 7):
+        assert I.contains(x) == canonical_contains(I, x)
+    assert I.contains(tvar(spec, 1) * norm_element(spec))
+    assert not I.contains(delta(spec, 1))
 
 
 def factor_element(spec, axis, F):
