@@ -23,13 +23,7 @@ from .groupring import (
     group_like,
     twist_hom,
 )
-from .ideals import (
-    FractionalIdeal,
-    Ideal,
-    ideal_equal,
-    nzd_certificate,
-    nzd_status,
-)
+from .ideals import FractionalIdeal, Ideal, nzd_certificate
 from .shifts import ShiftRequest, shift_trivial
 
 

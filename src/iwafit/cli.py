@@ -30,7 +30,7 @@ from .apps import DecompositionData, euler_factor_closed, euler_factor_direct
 from .complexes import RingMatrix, matrix_from_rows
 from .errors import IwafitError, ParseError, PrecisionError, SpecMismatchError
 from .fitting import PresentedModule, fitting_ideal
-from .groupring import GroupRingSpec, RingElement, one
+from .groupring import GroupRingSpec, RingElement
 from .ideals import (
     FractionalIdeal,
     Ideal,

@@ -110,7 +110,9 @@ def lifted_fitting_ideal(m: PresentedModule, target: GroupRingSpec,
     [T_d]))`` scaled by T_d^t_power.  The generators are the distinct
     non-zero minors of each size j, placed at T_d-degree a - j + t_power
     (T_d is the last radix, so no ring multiplication is needed); sizes
-    whose degree reaches N are skipped.
+    whose degree reaches N are skipped.  Every generator is homogeneous in
+    T_d, so the result's Howell forms are taken one T_d-degree at a time
+    (see ``ideals``).
     """
     h = m.presentation
     src = h.spec

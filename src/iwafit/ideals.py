@@ -3,7 +3,8 @@
 An ideal is stored as a generator list; its canonical form is the Howell
 normal form of the Z/p^k-module it spans inside R.  The products of each
 generator with every basis monomial span that module, so one bulk Howell
-pass over their stacked multiplication matrices computes it.
+pass over their stacked multiplication matrices computes it (one pass per
+T_d-degree for ideals graded by T_d, below).
 Equality of canonical forms decides equality of ideal images in the
 truncated ring, so a "false" verdict certifies exact inequality while a
 "true" verdict is evidence at the working precision.
@@ -33,6 +34,18 @@ is g and its block rows are ``multiplication_rows(g)``.  So it is the
 delta-basis Howell form of the whole ideal, which only the printers
 compute on a split spec; a spec without a split axis has one block and
 the key ``(canonical,)``.
+
+A block whose generator images are homogeneous in T_d, the last T
+variable (the Fitting ideals of ``fitting.lifted_fitting_ideal``, (norm, T),
+(tau, T)), takes its Howell form one T_d-degree at a time.  With S the
+block ring without T_d, images T_d^(e_i) x_i span the direct sum of the
+T_d^e J_e, J_e = sum_(e_i <= e) x_i S, and degree e owns the columns
+j * N + e, T_d being the fastest axis.  The rows of the Howell(J_e), each
+placed at its degree and sorted by pivot column, are echelon with p-power
+pivots, reduced (rows of different degrees share no column) and
+span-closed (each degree part of a vector of I that vanishes before a
+column is spanned by its form's rows past it), so by uniqueness they are
+the Howell form.  Any other block takes the stacked pass.
 """
 
 from __future__ import annotations
@@ -61,7 +74,7 @@ from .groupring import (
     power_residues,
     zero,
 )
-from .linalg import CoeffMatrix, _reduce, howell_span_rows
+from .linalg import CoeffMatrix, _reduce, howell_span_rows, residue_dtype
 
 
 def _distinct_nonzero_positions(arrays) -> list[int]:
@@ -160,6 +173,45 @@ def _block_rows(split: _Split, block, image: np.ndarray) -> np.ndarray:
     return out
 
 
+def _t_degrees(rest: GroupRingSpec, images) -> list[int] | None:
+    """The T_d-degree of each block image, T_d the last T variable of
+    ``rest``; None unless every image has exactly one non-zero T_d-slice."""
+    if rest.d < 1 or not images:
+        return None
+    slices = [np.flatnonzero((img.reshape(-1, rest.N) != 0).any(axis=0)) for img in images]
+    return [int(e[0]) for e in slices] if all(len(e) == 1 for e in slices) else None
+
+
+def _graded_rows(split: _Split, block, images, degrees) -> np.ndarray:
+    """The Howell form of the block spanned by images x_i of T_d-degree e_i:
+    the rows of each Howell(J_e), J_e = sum_(e_i <= e) x_i * S over the ring
+    S without T_d, placed at degree e and merged in pivot order; see the
+    module docstring."""
+    rest = split.rest
+    N, dtype = rest.N, residue_dtype(rest.modulus)
+    S = GroupRingSpec(rest.p, rest.k, rest.orders, rest.d - 1, N)
+    sub = split._replace(rest=S)
+    width = S.size * math.prod(n for _, n in block)
+    # J_e is J_(e') plus the generators of degree e, e' the degree before.
+    forms, H = [], np.zeros((0, width), dtype)
+    for e in sorted(set(degrees)):
+        stack = [H] + [_nonzero_rows(_block_rows(sub, block, np.ascontiguousarray(
+            img.reshape(img.shape[:-1] + (S.size, N))[..., e], dtype=S.dtype())))
+            for img, d in zip(images, degrees) if d == e]
+        H = np.array(howell_span_rows(rest.p, rest.k, width, np.vstack(stack)), dtype)
+        forms.append((e, H))
+    # J_e is the last form up to degree N - 1; column (j, e) of the block is
+    # j * N + e.
+    placed = []
+    for (first, H), end in zip(forms, [e for e, _ in forms[1:]] + [N]):
+        for e in range(first, end):
+            rows = np.zeros((len(H), width * N), dtype)
+            rows[:, e::N] = H
+            placed.append(rows)
+    out = np.vstack(placed)
+    return out[np.argsort(np.argmax(out != 0, axis=1))]
+
+
 class Ideal:
     """Finitely generated ideal of the truncated ring."""
 
@@ -200,17 +252,23 @@ class Ideal:
         return self._key
 
     def _block_forms(self, split: _Split) -> tuple[CoeffMatrix, ...]:
-        """One Howell pass per block over the stacked block rows of the
-        distinct non-zero generator images."""
+        """The Howell form of each block, from the distinct non-zero
+        generator images: one pass per distinct T_d-degree over the ring
+        without T_d when every image is homogeneous in T_d (``_graded_rows``),
+        else one pass over their stacked block rows."""
         spec = self.spec
         images = [_block_images(spec, split, g.coeffs) for g in distinct_nonzero(self.generators)]
         forms = []
         for b, block in enumerate(split.blocks):
             ncols = split.rest.size * math.prod(n for _, n in block)
             block_images = [img[b] for img in images]
-            stack = [_nonzero_rows(_block_rows(split, block, block_images[i]))
-                     for i in _distinct_nonzero_positions(block_images)]
-            rows = howell_span_rows(spec.p, spec.k, ncols, np.vstack(stack)) if stack else ()
+            block_images = [block_images[i] for i in _distinct_nonzero_positions(block_images)]
+            degrees = _t_degrees(split.rest, block_images)
+            if degrees:
+                rows = _graded_rows(split, block, block_images, degrees)
+            else:
+                stack = [_nonzero_rows(_block_rows(split, block, img)) for img in block_images]
+                rows = howell_span_rows(spec.p, spec.k, ncols, np.vstack(stack)) if stack else ()
             forms.append(CoeffMatrix(spec.p, spec.k, ncols, tuple(rows)))
         return tuple(forms)
 

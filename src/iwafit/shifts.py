@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .complexes import ChainComplex, cyclic_complex, t_complex, tensor, trivial_complex
 from .errors import IwafitError, PrecisionError
 from .fitting import PresentedModule, fitting_ideal, lifted_fitting_ideal
-from .groupring import GroupRingSpec, RingElement, mul, norm_element, one, tvar
+from .groupring import GroupRingSpec, mul, norm_element, one, tvar
 from .ideals import (
     FractionalIdeal,
     FracVerdict,

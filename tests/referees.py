@@ -4,7 +4,10 @@
 referee for ``iwafit.linalg.howell_span_rows``; ``fitting_ideal_naive``
 expands every maximal minor by cofactors, the referee for
 ``iwafit.fitting.fitting_ideal``; ``char_eval_naive`` walks the group
-monomials one at a time, the referee for ``iwafit.groupring.char_eval``.
+monomials one at a time, the referee for ``iwafit.groupring.char_eval``;
+``stacked_canonical`` and ``stacked_key`` take one Howell pass over every
+block row of every generator, the referees for ``Ideal.canonical`` and
+``Ideal.key`` on ideals generated by T_d-homogeneous elements.
 No library path uses any of them.
 """
 
@@ -14,9 +17,26 @@ import numpy as np
 
 from iwafit.errors import SpecMismatchError
 from iwafit.fitting import PresentedModule
-from iwafit.groupring import Character, CyclotomicElement, RingElement, _zeta_powers, mul, zero
-from iwafit.ideals import Ideal, unit_ideal, zero_ideal
-from iwafit.linalg import residue_dtype
+from iwafit.groupring import (
+    Character,
+    CyclotomicElement,
+    RingElement,
+    _zeta_powers,
+    mul,
+    multiplication_rows,
+    zero,
+)
+from iwafit.ideals import (
+    Ideal,
+    _block_images,
+    _block_rows,
+    _distinct_nonzero_positions,
+    _split,
+    distinct_nonzero,
+    unit_ideal,
+    zero_ideal,
+)
+from iwafit.linalg import CoeffMatrix, howell_span_rows, residue_dtype
 
 
 class HowellBuilder:
@@ -151,3 +171,32 @@ def char_eval_naive(chi: Character, x: RingElement) -> CyclotomicElement:
         w = sum((e // m) * t * ai for m, t, ai in zip(spec.orders, chi.exponents, a)) % e
         out = (out + zpow[w][:, None] * row[None, :]) % mod
     return CyclotomicElement(mod, e, out)
+
+
+def stacked_canonical(I: Ideal) -> CoeffMatrix:
+    """The Howell form of the stacked multiplication matrices of the
+    distinct non-zero generators, whatever their T-degrees."""
+    spec = I.spec
+    stack = [multiplication_rows(g) for g in distinct_nonzero(I.generators)]
+    rows = howell_span_rows(spec.p, spec.k, spec.size, np.vstack(stack)) if stack else ()
+    return CoeffMatrix(spec.p, spec.k, spec.size, tuple(rows))
+
+
+def stacked_key(I: Ideal) -> tuple[CoeffMatrix, ...]:
+    """Per CRT block, the Howell form of the stacked block rows of the
+    distinct non-zero generator images; ``(stacked_canonical(I),)`` on a
+    spec without a split axis."""
+    spec = I.spec
+    split = _split(spec)
+    if not split.axes:
+        return (stacked_canonical(I),)
+    images = [_block_images(spec, split, g.coeffs) for g in distinct_nonzero(I.generators)]
+    forms = []
+    for b, block in enumerate(split.blocks):
+        ncols = split.rest.size * int(np.prod([n for _, n in block]))
+        block_images = [img[b] for img in images]
+        stack = [_block_rows(split, block, block_images[i])
+                 for i in _distinct_nonzero_positions(block_images)]
+        rows = howell_span_rows(spec.p, spec.k, ncols, np.vstack(stack)) if stack else ()
+        forms.append(CoeffMatrix(spec.p, spec.k, ncols, tuple(rows)))
+    return tuple(forms)
