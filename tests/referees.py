@@ -11,6 +11,7 @@ block row of every generator, the referees for ``Ideal.canonical`` and
 No library path uses any of them.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -193,7 +194,7 @@ def stacked_key(I: Ideal) -> tuple[CoeffMatrix, ...]:
     images = [_block_images(spec, split, g.coeffs) for g in distinct_nonzero(I.generators)]
     forms = []
     for b, block in enumerate(split.blocks):
-        ncols = split.rest.size * int(np.prod([n for _, n in block]))
+        ncols = split.rest.size * math.prod(n for _, n in block)
         block_images = [img[b] for img in images]
         stack = [_block_rows(split, block, block_images[i])
                  for i in _distinct_nonzero_positions(block_images)]
