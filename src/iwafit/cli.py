@@ -15,8 +15,10 @@ Commands:
 
 Every command emits one JSON document with the fixed keys
 {"spec", "command", "verdict", "certified_precision", "canonical_generators"}.
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 working precision too low (the message names the N needed).
+Exit codes: 0 success, 1 verification mismatch or any other library error
+(an ``IwafitError`` such as ``UnsupportedShiftError`` for a shift outside
+the computable regimes), 2 usage or parse error, 3 working precision too
+low (the message names the N needed).
 """
 
 from __future__ import annotations
@@ -280,7 +282,12 @@ def run_command(line: str, session: Session) -> dict:
     elif cmd == "shift-trivial":
         if len(args) != 1:
             raise UsageError("shift-trivial takes the shift index")
-        value = shift_trivial(ShiftRequest(session.require_spec(), int(args[0])))
+        try:
+            n = int(args[0])
+        except ValueError:
+            raise UsageError(
+                f"shift-trivial takes an integer shift index, got {args[0]!r}") from None
+        value = shift_trivial(ShiftRequest(session.require_spec(), n))
         out["verdict"] = f"denominator {element_to_text(value.denominator)}"
         out["certified_precision"] = session.require_spec().N
         out["canonical_generators"] = ideal_generators_text(value.numerator)

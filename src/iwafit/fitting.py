@@ -2,15 +2,17 @@
 
 The Fitting ideal of coker(h: R^b -> R^a) is generated by all a x a minors
 of h.  The ring has zero divisors, so fraction-free elimination is not
-available; minors are computed division-free by one depth-first walk over
-increasing column subsets.  At depth j the walk carries, for every j-row
-subset, the determinant of those rows and the j chosen columns, and
-choosing one more column extends each of them by Laplace expansion along
-it.  Subdeterminants are shared between column subsets with a common
-prefix, but the walk still visits every column subset of size j <= a, each
-holding up to C(a, j) subdeterminants: at most
-sum_j C(b, j) * C(a, j) * (a - j) ring multiplications, not O(2^a * b).
-Branches whose subdeterminants all vanish are cut.
+available; minors are computed division-free by a walk over increasing
+column subsets that goes one depth at a time.  Depth j holds every non-zero
+j x j subdeterminant of h, for a j-row subset and a set of j columns, as
+one row of an (n, B) residue array, and choosing one more column extends
+each of them by Laplace expansion along it.  A depth costs one product per
+column c, the rows whose last column lies before c against the
+multiplication matrices of c's non-zero entries side by side, and one
+merge: the terms of each (column set, row subset) are summed after a
+lexsort and the zero sums are dropped.  Subdeterminants are shared between
+column subsets with a common prefix, and column subsets whose
+subdeterminants all vanish are never extended.
 
 Presentations lifted by one T variable are graded.  For h over the ring
 without T_d, choosing a - j of the T_d columns of [h | T_d * 1_a] leaves a
@@ -30,8 +32,8 @@ import numpy as np
 
 from .complexes import RingMatrix
 from .errors import SpecMismatchError
-from .groupring import GroupRingSpec, RingElement, _zeros, apply_hom, mul, one
-from .ideals import Ideal, distinct_nonzero
+from .groupring import GroupRingSpec, RingElement, _zeros, apply_hom, multiplication_rows, one
+from .ideals import Ideal, _distinct_nonzero_positions
 
 
 @dataclass(frozen=True)
@@ -45,60 +47,98 @@ class PresentedModule:
         return self.presentation.spec
 
 
-def _minors_by_size(h: RingMatrix, jmin: int) -> list[list[RingElement]]:
-    """Non-zero j x j minors of h for every size j >= jmin, indexed by j.
+def _minors_by_size(h: RingMatrix, jmin: int) -> list[np.ndarray]:
+    """Non-zero j x j minors of h for every size j >= jmin, indexed by j,
+    each size an (n_j, B) residue array.
 
-    Each minor carries a sign that depends only on j, so the list for j
-    generates I_j(h); sizes below ``jmin`` get empty lists.
+    Each minor carries a sign that depends only on j, so the rows for j
+    generate I_j(h); sizes below ``jmin`` get no rows.  The walk goes one
+    depth at a time.  Every frontier row is the non-zero subdeterminant of a
+    j-row subset (its bit mask) and a set of j columns (its rank in
+    lexicographic order, and its last column); every column c past the last
+    extends it by Laplace expansion along c.  The minors of each size come
+    out by column set in lexicographic order, and within a column set by
+    the first (parent, row) term that reaches each row mask.
     """
+    spec = h.spec
     a, b = h.nrows, h.ncols
     jmax = min(a, b)
-    found: list[list[RingElement]] = [[] for _ in range(a + 1)]
+    found = [_zeros(spec, 0) for _ in range(a + 1)]
+    seed = one(spec).coeffs[None]
     if jmin <= 0:
-        found[0].append(one(h.spec))
-    # Each column's entries, None where zero, read once for the whole walk.
+        found[0] = seed
+    if jmax < max(jmin, 1):
+        return found
+    B, mod = spec.size, spec.modulus
+    bits = np.array([1 << i for i in range(a)], dtype=np.int64 if a < 63 else object)
+    # Per column, the rows of its non-zero entries and their multiplication
+    # matrices side by side, so det @ mats holds every det * entry.
     nonzero = h.coeffs.any(axis=2)
-    columns = [[h.at(i, c) if nonzero[i, c] else None for i in range(a)] for c in range(b)]
+    columns = []
+    for c in range(b):
+        rows = np.flatnonzero(nonzero[:, c])
+        mats = [multiplication_rows(h.at(i, c)) for i in rows]
+        columns.append((rows, np.concatenate(mats, axis=1) if mats else None))
 
-    def extend(col: int, state: dict[int, RingElement], depth: int):
-        # state maps row-bitmasks of size `depth` to the non-zero
-        # subdeterminants of the columns chosen so far.  Column c is only
-        # tried while enough columns remain after it to reach size jmin.
-        for c in range(col, b - max(jmin - depth, 1) + 1):
-            new_state: dict[int, RingElement] = {}
-            column = columns[c]
-            for mask, det in state.items():
-                sign = 1
-                for i in range(a):
-                    bit = 1 << i
-                    if mask & bit:
-                        sign = -sign
-                        continue
-                    entry = column[i]
-                    if entry is None:
-                        continue
-                    term = mul(det, entry) if sign == 1 else -mul(det, entry)
-                    new_mask = mask | bit
-                    acc = new_state.get(new_mask)
-                    new_state[new_mask] = term if acc is None else acc + term
-            new_state = {k: x for k, x in new_state.items() if not x.is_zero()}
-            if depth + 1 >= jmin:
-                found[depth + 1].extend(new_state.values())
-            # An empty state has no non-zero extension: every larger minor
-            # through these columns is a combination of its entries.
-            if new_state and depth + 1 < jmax:
-                extend(c + 1, new_state, depth + 1)
-
-    if jmax >= max(jmin, 1):
-        # Seed: empty column set, empty row set, determinant 1.
-        extend(0, {0: one(h.spec)}, 0)
+    dets, sets, last = seed, np.zeros(1, np.int64), np.full(1, -1)
+    masks = np.zeros(1, dtype=bits.dtype)
+    for depth in range(jmax):
+        # Row i enters a frontier row's mask with the sign of the parity of
+        # the mask bits below i: its count up to i, as i is not in the mask.
+        member = (masks[:, None] & bits) != 0
+        odd_below = np.cumsum(member, axis=1) % 2 == 1
+        parents, cols, new_masks, terms = [], [], [], []
+        # Column c is only tried while enough columns remain after it to
+        # reach size jmin.
+        for c in range(b - max(jmin - depth, 1) + 1):
+            rows, mats = columns[c]
+            sel = np.flatnonzero(last < c)
+            if mats is None or not len(sel):
+                continue
+            prods = (dets[sel] @ mats).reshape(len(sel), len(rows), B)
+            # Pairs (parent, row) with the row outside the parent's mask, in
+            # (parent, row) order.
+            pi, ri = np.nonzero(~member[np.ix_(sel, rows)])
+            if not len(pi):
+                continue
+            parent, row = sel[pi], rows[ri]
+            term = prods[pi, ri] % mod
+            odd = odd_below[parent, row]
+            term[odd] = -term[odd]
+            parents.append(parent)
+            cols.append(np.full(len(pi), c))
+            new_masks.append(masks[parent] | bits[row])
+            terms.append(term)
+        if not terms:
+            break
+        parent, col = np.concatenate(parents), np.concatenate(cols)
+        new_mask, term = np.concatenate(new_masks), np.concatenate(terms)
+        new_set = sets[parent] * b + col
+        # Merge the terms of each (column set, row mask); the stable sort
+        # keeps each key's first (parent, row) term first.
+        order = np.lexsort((new_mask, new_set))
+        key_set, key_mask = new_set[order], new_mask[order]
+        starts = np.flatnonzero(np.r_[True, (key_set[1:] != key_set[:-1])
+                                      | (key_mask[1:] != key_mask[:-1])])
+        sums = np.add.reduceat(term[order], starts, axis=0) % mod
+        groups = np.lexsort((order[starts], key_set[starts]))
+        groups = groups[sums[groups].any(axis=1)]
+        if not len(groups):
+            break
+        dets, masks = sums[groups], key_mask[starts][groups]
+        last = col[order[starts]][groups]
+        key_set = key_set[starts][groups]
+        sets = np.cumsum(np.r_[0, key_set[1:] != key_set[:-1]])
+        if depth + 1 >= jmin:
+            found[depth + 1] = dets
     return found
 
 
 def fitting_ideal(m: PresentedModule) -> Ideal:
     """Ideal of all maximal minors of the presentation matrix."""
     h = m.presentation
-    return Ideal(h.spec, _minors_by_size(h, h.nrows)[h.nrows])
+    minors = _minors_by_size(h, h.nrows)[h.nrows]
+    return Ideal(h.spec, [RingElement(h.spec, x) for x in minors])
 
 
 def lifted_fitting_ideal(m: PresentedModule, target: GroupRingSpec,
@@ -122,9 +162,11 @@ def lifted_fitting_ideal(m: PresentedModule, target: GroupRingSpec,
             != (target.p, target.k, target.orders, target.d, target.N)):
         raise SpecMismatchError("source spec is not the target without its last T variable")
     a, N = h.nrows, target.N
-    by_size = _minors_by_size(h, a + t_power - N + 1)
-    gens = [RingElement(target, _place(x.coeffs, target, a - j + t_power))
-            for j, minors in enumerate(by_size) for x in distinct_nonzero(minors)]
+    gens = []
+    for j, minors in enumerate(_minors_by_size(h, a + t_power - N + 1)):
+        if len(minors):
+            placed = _place(minors[_distinct_nonzero_positions(minors)], target, a - j + t_power)
+            gens += [RingElement(target, x) for x in placed]
     return Ideal(target, gens)
 
 

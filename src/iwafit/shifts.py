@@ -7,7 +7,9 @@ h = d_(n+1) presents the n-th kernel module N_n there; over the full ring
 N_n is presented by [h | T_d * 1_a], and the value is T_d^t * Fitt(N_n)
 with t the alternating sum of the complex ranks below degree n.  The
 Fitting ideal comes from the minors of h, grouped by size
-(``fitting.lifted_fitting_ideal``), so the lifted matrix is never built.
+(``fitting.lifted_fitting_ideal``), so the lifted matrix is never built;
+the minors come from one walk over h that extends all subdeterminants of
+one size at a time (``fitting._minors_by_size``).
 A negative t puts T_d^(-t) in the denominator, which needs N > -t; below
 that a ``PrecisionError`` is raised before any minor is computed.
 

@@ -3,11 +3,14 @@
 ``HowellBuilder`` inserts rows one at a time into a Howell form, the
 referee for ``iwafit.linalg.howell_span_rows``; ``fitting_ideal_naive``
 expands every maximal minor by cofactors, the referee for
-``iwafit.fitting.fitting_ideal``; ``char_eval_naive`` walks the group
-monomials one at a time, the referee for ``iwafit.groupring.char_eval``;
-``stacked_canonical`` and ``stacked_key`` take one Howell pass over every
-block row of every generator, the referees for ``Ideal.canonical`` and
-``Ideal.key`` on ideals generated by T_d-homogeneous elements.
+``iwafit.fitting.fitting_ideal``; ``minors_by_size_dfs`` walks the column
+subsets depth first with one ``mul`` per (row mask, row), the referee for
+the minors of ``iwafit.fitting._minors_by_size`` and their order;
+``char_eval_naive`` walks the group monomials one at a time, the referee
+for ``iwafit.groupring.char_eval``; ``stacked_canonical`` and
+``stacked_key`` take one Howell pass over every block row of every
+generator, the referees for ``Ideal.canonical`` and ``Ideal.key`` on
+ideals generated by T_d-homogeneous elements.
 No library path uses any of them.
 """
 
@@ -16,6 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
+from iwafit.complexes import RingMatrix
 from iwafit.errors import SpecMismatchError
 from iwafit.fitting import PresentedModule
 from iwafit.groupring import (
@@ -25,6 +29,7 @@ from iwafit.groupring import (
     _zeta_powers,
     mul,
     multiplication_rows,
+    one,
     zero,
 )
 from iwafit.ideals import (
@@ -147,6 +152,56 @@ def fitting_ideal_naive(m: PresentedModule) -> Ideal:
 
     gens = [det(list(range(a)), list(cols)) for cols in combinations(range(b), a)]
     return Ideal(spec, gens)
+
+
+def minors_by_size_dfs(h: RingMatrix, jmin: int) -> list[list[RingElement]]:
+    """Non-zero j x j minors of h for every size j >= jmin, indexed by j.
+
+    Each minor carries a sign that depends only on j, so the list for j
+    generates I_j(h); sizes below ``jmin`` get empty lists.
+    """
+    a, b = h.nrows, h.ncols
+    jmax = min(a, b)
+    found: list[list[RingElement]] = [[] for _ in range(a + 1)]
+    if jmin <= 0:
+        found[0].append(one(h.spec))
+    # Each column's entries, None where zero, read once for the whole walk.
+    nonzero = h.coeffs.any(axis=2)
+    columns = [[h.at(i, c) if nonzero[i, c] else None for i in range(a)] for c in range(b)]
+
+    def extend(col: int, state: dict[int, RingElement], depth: int):
+        # state maps row-bitmasks of size `depth` to the non-zero
+        # subdeterminants of the columns chosen so far.  Column c is only
+        # tried while enough columns remain after it to reach size jmin.
+        for c in range(col, b - max(jmin - depth, 1) + 1):
+            new_state: dict[int, RingElement] = {}
+            column = columns[c]
+            for mask, det in state.items():
+                sign = 1
+                for i in range(a):
+                    bit = 1 << i
+                    if mask & bit:
+                        sign = -sign
+                        continue
+                    entry = column[i]
+                    if entry is None:
+                        continue
+                    term = mul(det, entry) if sign == 1 else -mul(det, entry)
+                    new_mask = mask | bit
+                    acc = new_state.get(new_mask)
+                    new_state[new_mask] = term if acc is None else acc + term
+            new_state = {k: x for k, x in new_state.items() if not x.is_zero()}
+            if depth + 1 >= jmin:
+                found[depth + 1].extend(new_state.values())
+            # An empty state has no non-zero extension: every larger minor
+            # through these columns is a combination of its entries.
+            if new_state and depth + 1 < jmax:
+                extend(c + 1, new_state, depth + 1)
+
+    if jmax >= max(jmin, 1):
+        # Seed: empty column set, empty row set, determinant 1.
+        extend(0, {0: one(h.spec)}, 0)
+    return found
 
 
 def char_eval_naive(chi: Character, x: RingElement) -> CyclotomicElement:

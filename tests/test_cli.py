@@ -231,3 +231,23 @@ def test_bound_non_element_inside_literal_is_named():
     for line in ("canon (I)", "let J = (I, t1)", "fitting [[M]]", "frac-eq (t1)/I (t1)"):
         with pytest.raises(UsageError, match="'I'|'M'"):
             run_command(line, session)
+
+
+def test_non_integer_shift_index_is_a_usage_error(tmp_path, capsys):
+    session = fresh_session()
+    with pytest.raises(UsageError, match=r"shift-trivial .*'x'"):
+        run_command("shift-trivial x", session)
+    bad = tmp_path / "bad.iwa"
+    bad.write_text("spec p=3 k=3 N=4 orders=3 d=1\nshift-trivial x\n")
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "shift-trivial takes an integer shift index, got 'x'" in err
+    assert "invalid literal" not in err
+
+
+def test_unsupported_shift_exits_one(tmp_path, capsys):
+    # A library refusal that is not a precision error exits 1, like a mismatch.
+    neg = tmp_path / "neg.iwa"
+    neg.write_text("spec p=3 k=3 N=4 orders=3,3 d=2\nshift-trivial -1\n")
+    assert main(["run", str(neg)]) == 1
+    assert "negative shift n=-1 is unsupported for d=2, s=2" in capsys.readouterr().err
