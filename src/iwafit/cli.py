@@ -119,6 +119,15 @@ def _split_args(src: str) -> list[str]:
     return args
 
 
+def _parse_expression(src: str, session: Session) -> RingElement:
+    """An element expression, in which bound element names stand for their
+    values.  Only the bindings whose name occurs in the text go to the
+    parser, so an expression without one takes the two-argument call."""
+    spec = session.require_spec()
+    names = {name: value for name, value in session.bindings.items() if name in src}
+    return parse_element(src, spec, names) if names else parse_element(src, spec)
+
+
 def _parse_entry(src: str, session: Session) -> RingElement:
     """One entry of a literal: a bound element name or an element expression."""
     src = src.strip()
@@ -128,13 +137,14 @@ def _parse_entry(src: str, session: Session) -> RingElement:
             raise UsageError(f"name {src!r} is bound to a {type(value).__name__}, "
                              "not a ring element")
         return value
-    return parse_element(src, session.require_spec())
+    return _parse_expression(src, session)
 
 
 def parse_value(src: str, session: Session):
     """A bound name, element expression, ideal literal (g1, ...), fractional
     literal (g1, ...)/den, or matrix literal [[...], ...].  A whole entry or
-    denominator of a literal may be a bound element name."""
+    denominator of a literal may be a bound element name, and so may any
+    name inside an element expression."""
     src = src.strip()
     spec = session.require_spec()
     if src in session.bindings:
@@ -181,7 +191,7 @@ def parse_value(src: str, session: Session):
             )
         return FractionalIdeal(Ideal(spec, gens), den,
                                "certified" if status == "certified" else "assumed")
-    return parse_element(src, spec)
+    return _parse_expression(src, session)
 
 
 def _as_fractional(value) -> FractionalIdeal:

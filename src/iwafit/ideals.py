@@ -4,10 +4,8 @@ An ideal is stored as a generator list; its canonical form is the Howell
 normal form of the Z/p^k-module it spans inside R.  The products of each
 generator with every basis monomial span that module, so one bulk Howell
 pass over their stacked multiplication matrices computes it (one pass per
-T_d-degree for ideals graded by T_d, below).
-Equality of canonical forms decides equality of ideal images in the
-truncated ring, so a "false" verdict certifies exact inequality while a
-"true" verdict is evidence at the working precision.
+T_d-degree for ideals graded by T_d, below).  Only the printers need that
+unique form.
 
 Comparisons (``ideal_equal``, ``Ideal.contains`` and with them
 ``frac_equal``) are decided one prime-to-p block at a time.  On a group
@@ -18,34 +16,49 @@ choices b of one F_j per such axis, R' the ring without those axes.  The
 projection pi_b: R -> R_b is a surjective ring map, so pi_b(I) is the
 ideal of R_b generated by the pi_b(g), spanned over Z/p^k by the
 pi_b(g) * pi_b(b) for the basis monomials b, and I is the product of its
-images.  ``Ideal.key`` is therefore the tuple of the Howell forms of the
-pi_b(I): two ideals are equal iff their keys are, and x lies in I iff
-each pi_b(x) lies in pi_b(I).  pi_b(g) is g reduced mod F_j(delta) along
-each split axis, taken before any multiplication matrix is built; its
-multiplication rows are sum_a kron(X_a, multiplication_rows(g_a)) over
-the monomials x^a of the quotients, X_a the multiplication by x^a, which
-is ``multiplication_rows`` of pi_b(g) itself when every F_j is linear.
-The reductions are one ``groupring.along_axes`` call per element, with
-the transposed CRT matrix on each split axis.
+images.  pi_b(g) is g reduced mod F_j(delta) along each split axis, taken
+before any multiplication matrix is built; its multiplication rows are
+sum_a kron(X_a, multiplication_rows(g_a)) over the monomials x^a of the
+quotients, X_a the multiplication by x^a, which is
+``multiplication_rows`` of pi_b(g) itself when every F_j is linear.  The
+reductions are one ``groupring.along_axes`` call per element, with the
+transposed CRT matrix on each split axis.  A block ring need not be
+local: the block of two quadratic factors of x^4 - 1 mod 3 is
+F_9 (x) F_9 = F_9 x F_9 modulo 3.
+
+``Ideal.key`` holds, per block, the echelon form of pi_b(I) that the
+kernel's elimination leaves before back-substitution
+(``linalg.echelon_span_rows``); it has the Howell property, so it decides
+membership and gives the length L_b of pi_b(I), |pi_b(I)| = p^(L_b)
+(``linalg`` module docstring).  The rule: I = J iff in every block the
+lengths agree and each generator image pi_b(g) of I reduces to zero
+against J's form, since then pi_b(I) lies in pi_b(J) and both have the
+same number of elements.  x lies in I iff each pi_b(x) reduces to zero
+against I's form.  Both are exact statements about the images in the
+truncated ring, so a "false" verdict certifies exact inequality while a
+"true" verdict is evidence at the working precision.
 
 The canonical form is the same construction for the one-block split
 ``_Split((), (), ((),), spec)``, with no split axis: its only block image
 is g and its block rows are ``multiplication_rows(g)``.  So it is the
 delta-basis Howell form of the whole ideal, which only the printers
-compute on a split spec; a spec without a split axis has one block and
-the key ``(canonical,)``.
+compute on a split spec.  A spec without a split axis has that one block;
+its key is the canonical form when that is already known (a Howell form
+is an echelon form), else the block's echelon form.
 
 A block whose generator images are homogeneous in T_d, the last T
 variable (the Fitting ideals of ``fitting.lifted_fitting_ideal``, (norm, T),
-(tau, T)), takes its Howell form one T_d-degree at a time.  With S the
-block ring without T_d, images T_d^(e_i) x_i span the direct sum of the
+(tau, T)), takes its forms one T_d-degree at a time.  With S the block
+ring without T_d, images T_d^(e_i) x_i span the direct sum of the
 T_d^e J_e, J_e = sum_(e_i <= e) x_i S, and degree e owns the columns
 j * N + e, T_d being the fastest axis.  The rows of the Howell(J_e), each
 placed at its degree and sorted by pivot column, are echelon with p-power
 pivots, reduced (rows of different degrees share no column) and
 span-closed (each degree part of a vector of I that vanishes before a
 column is spanned by its form's rows past it), so by uniqueness they are
-the Howell form.  Any other block takes the stacked pass.
+the Howell form.  The same placement of echelon forms of the J_e with the
+Howell property gives an echelon form of the block with it, the key's.
+Any other block takes the stacked pass.
 """
 
 from __future__ import annotations
@@ -74,7 +87,15 @@ from .groupring import (
     power_residues,
     zero,
 )
-from .linalg import CoeffMatrix, _reduce, howell_span_rows, residue_dtype
+from .linalg import (
+    CoeffMatrix,
+    Echelon,
+    echelon,
+    echelon_span_rows,
+    howell_span_rows,
+    residue_dtype,
+    spans,
+)
 
 
 def _distinct_nonzero_positions(arrays) -> list[int]:
@@ -182,23 +203,28 @@ def _t_degrees(rest: GroupRingSpec, images) -> list[int] | None:
     return [int(e[0]) for e in slices] if all(len(e) == 1 for e in slices) else None
 
 
-def _graded_rows(split: _Split, block, images, degrees) -> np.ndarray:
-    """The Howell form of the block spanned by images x_i of T_d-degree e_i:
-    the rows of each Howell(J_e), J_e = sum_(e_i <= e) x_i * S over the ring
-    S without T_d, placed at degree e and merged in pivot order; see the
-    module docstring."""
+def _block_width(split: _Split, block) -> int:
+    return split.rest.size * math.prod(n for _, n in block)
+
+
+def _graded_rows(span, split: _Split, block, images, degrees) -> np.ndarray:
+    """The form of the block spanned by images x_i of T_d-degree e_i: the
+    rows of each form of J_e, J_e = sum_(e_i <= e) x_i * S over the ring S
+    without T_d, placed at degree e and merged in pivot order; see the
+    module docstring.  ``span`` is the kernel call (``howell_span_rows`` or
+    ``echelon_span_rows``) that computes the forms of the J_e."""
     rest = split.rest
     N, dtype = rest.N, residue_dtype(rest.modulus)
     S = GroupRingSpec(rest.p, rest.k, rest.orders, rest.d - 1, N)
     sub = split._replace(rest=S)
-    width = S.size * math.prod(n for _, n in block)
+    width = _block_width(sub, block)
     # J_e is J_(e') plus the generators of degree e, e' the degree before.
     forms, H = [], np.zeros((0, width), dtype)
     for e in sorted(set(degrees)):
         stack = [H] + [_nonzero_rows(_block_rows(sub, block, np.ascontiguousarray(
             img.reshape(img.shape[:-1] + (S.size, N))[..., e], dtype=S.dtype())))
             for img, d in zip(images, degrees) if d == e]
-        H = np.array(howell_span_rows(rest.p, rest.k, width, np.vstack(stack)), dtype)
+        H = np.array(span(rest.p, rest.k, width, np.vstack(stack)), dtype)
         forms.append((e, H))
     # J_e is the last form up to degree N - 1; column (j, e) of the block is
     # j * N + e.
@@ -224,6 +250,9 @@ class Ideal:
         self.generators = gens
         self._canonical = None
         self._key = None
+        # Per CRT block, the distinct non-zero generator images as the rows
+        # of one matrix; set with the key.
+        self._key_generators = None
         self._lock = threading.Lock()
 
     @property
@@ -234,43 +263,62 @@ class Ideal:
                     # The Z/p^k-span of {g * b : g generator, b basis
                     # monomial} is the whole ideal: the one block of the
                     # unsplit ring.
-                    self._canonical, = self._block_forms(_Split((), (), ((),), self.spec))
+                    spec = self.spec
+                    split = _Split((), (), ((),), spec)
+                    rows, = self._block_forms(split, self._generator_images(split),
+                                              howell_span_rows)
+                    self._canonical = CoeffMatrix(spec.p, spec.k, spec.size, tuple(rows))
         return self._canonical
 
     @property
-    def key(self) -> tuple[CoeffMatrix, ...]:
-        """The Howell forms of the ideal's CRT blocks, in block order: two
-        ideals are equal iff their keys are.  ``(canonical,)`` on a spec
-        without a split axis."""
-        split = _split(self.spec)
-        if not split.axes:
-            return (self.canonical,)
+    def key(self) -> tuple[Echelon, ...]:
+        """An echelon form with the Howell property of each CRT block, in
+        block order; ``ideal_equal`` and ``contains`` decide on it.  On a
+        spec without a split axis whose canonical form is already known, that
+        form, since a Howell form is an echelon form."""
         if self._key is None:
             with self._lock:
                 if self._key is None:
-                    self._key = self._block_forms(split)
+                    spec, split = self.spec, _split(self.spec)
+                    images = self._generator_images(split)
+                    if not split.axes and self._canonical is not None:
+                        forms = [self._canonical.rows]
+                    else:
+                        forms = self._block_forms(split, images, echelon_span_rows)
+                    widths = [_block_width(split, block) for block in split.blocks]
+                    self._key_generators = tuple(
+                        np.array([img.reshape(-1) for img in imgs], split.rest.dtype())
+                        .reshape(-1, n) for imgs, n in zip(images, widths))
+                    self._key = tuple(echelon(spec.p, spec.k, n, rows)
+                                      for rows, n in zip(forms, widths))
         return self._key
 
-    def _block_forms(self, split: _Split) -> tuple[CoeffMatrix, ...]:
-        """The Howell form of each block, from the distinct non-zero
-        generator images: one pass per distinct T_d-degree over the ring
-        without T_d when every image is homogeneous in T_d (``_graded_rows``),
-        else one pass over their stacked block rows."""
+    def _generator_images(self, split: _Split) -> list[list[np.ndarray]]:
+        """Per block of ``split``, the distinct non-zero images of the
+        generators."""
+        images = [_block_images(self.spec, split, g.coeffs)
+                  for g in distinct_nonzero(self.generators)]
+        per_block = [[img[b] for img in images] for b in range(len(split.blocks))]
+        return [[imgs[i] for i in _distinct_nonzero_positions(imgs)] for imgs in per_block]
+
+    def _block_forms(self, split: _Split, images, span) -> list:
+        """The rows of each block's form, computed by the kernel call
+        ``span`` from the block's generator images: one call per distinct
+        T_d-degree over the ring without T_d when every image is homogeneous
+        in T_d (``_graded_rows``), else one call on their stacked block
+        rows."""
         spec = self.spec
-        images = [_block_images(spec, split, g.coeffs) for g in distinct_nonzero(self.generators)]
         forms = []
-        for b, block in enumerate(split.blocks):
-            ncols = split.rest.size * math.prod(n for _, n in block)
-            block_images = [img[b] for img in images]
-            block_images = [block_images[i] for i in _distinct_nonzero_positions(block_images)]
+        for block, block_images in zip(split.blocks, images):
             degrees = _t_degrees(split.rest, block_images)
             if degrees:
-                rows = _graded_rows(split, block, block_images, degrees)
+                rows = _graded_rows(span, split, block, block_images, degrees)
             else:
                 stack = [_nonzero_rows(_block_rows(split, block, img)) for img in block_images]
-                rows = howell_span_rows(spec.p, spec.k, ncols, np.vstack(stack)) if stack else ()
-            forms.append(CoeffMatrix(spec.p, spec.k, ncols, tuple(rows)))
-        return tuple(forms)
+                rows = span(spec.p, spec.k, _block_width(split, block),
+                            np.vstack(stack)) if stack else ()
+            forms.append(rows)
+        return forms
 
     def canonical_elements(self) -> list[RingElement]:
         return [from_vector(self.spec, row) for row in self.canonical.rows]
@@ -281,8 +329,8 @@ class Ideal:
     def contains(self, x: RingElement) -> bool:
         if x.spec != self.spec:
             raise SpecMismatchError("element does not live on the ideal's spec")
-        return all(_reduce(image.reshape(-1), H)
-                   for image, H in zip(_block_images(self.spec, _split(self.spec), x.coeffs),
+        return all(spans(E, image.reshape(1, -1))
+                   for image, E in zip(_block_images(self.spec, _split(self.spec), x.coeffs),
                                        self.key))
 
     def __repr__(self):
@@ -303,9 +351,13 @@ def _check(I: Ideal, J: Ideal):
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    """Block-key equality; false verdicts certify exact inequality."""
+    """I = J iff in every CRT block the two keys have the same length and
+    the generator images of I reduce to zero against J's key: I lies in J
+    and |I| = |J| in a finite ring.  False verdicts certify exact
+    inequality."""
     _check(I, J)
-    return I.key == J.key
+    return all(a.length == b.length for a, b in zip(I.key, J.key)) and all(
+        spans(E, gens) for E, gens in zip(J.key, I._key_generators))
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -365,7 +417,11 @@ def frac_equal(X: FractionalIdeal, Y: FractionalIdeal) -> FracVerdict:
     """Cross-multiplied comparison of fractional ideals.
 
     For X = I/f and Y = J/g, compares g*I with f*J.  An equal verdict holds
-    at T-precision N - degT(f) - degT(g); unequal verdicts are exact.
+    at T-precision N - degT(f) - degT(g).  An unequal verdict is exact when
+    no truncated twist (``groupring.twist_hom`` with a gamma value other
+    than 1) went into either side; a truncated twist may lose p-adic
+    precision that nothing here accounts for, so an unequal verdict may
+    then reflect that loss (ROADMAP open item 1).
     """
     if X.spec != Y.spec:
         raise SpecMismatchError("fractional ideals live on different specs")

@@ -4,7 +4,7 @@ The Howell normal form is the canonical representative of a row span over
 Z/p^k: row echelon, every pivot a power of p, entries above a pivot reduced
 modulo that pivot, and the row set closed under scalar multiplication.  Two
 matrices span the same submodule of (Z/p^k)^n iff their Howell forms are
-identical, which is what every ideal comparison in this library reduces to.
+identical; the printers show it.
 
 ``howell_span_rows`` is the one kernel that computes it, by blocked
 elimination with delayed updates (after Storjohann and Mulders, "Fast
@@ -22,6 +22,31 @@ algorithms for linear algebra modulo N", 1998):
   same width.  Within a block each pivot row is still in its state at the
   start of the block when it is used, so the block's reductions of all the
   rows above are one product ``Q @ H_block``.
+
+Comparisons need less.  ``echelon_span_rows`` is the same kernel call
+stopped before back-substitution, and its rows E already have the Howell
+property: for every column c, the rows with pivot column >= c span M_c, the
+vectors of the span M that vanish left of c.  Proof: back-substitution
+turns E into the Howell form H by adding to each row multiples of rows with
+later pivots (a block's product ``Q @ H_block`` is a batch of such steps).
+Fix a column c.  A step whose target row has its pivot at or past c adds a
+row whose pivot is past c, so it is an invertible change inside the rows
+with pivot >= c; any other step leaves those rows alone.  So for every c
+the rows of E with pivot >= c span what the rows of H with pivot >= c
+span, which is M_c because H has the Howell property (c = 0 gives
+span E = M).  Two consequences:
+
+- Membership (``spans``).  Reduce a vector v against the rows in pivot
+  order.  If v lies in M and vanishes left of a pivot column c, it lies in
+  M_c, so its entry at c is a multiple of the pivot there and subtracting
+  that multiple of the row leaves a vector of M that vanishes up to c.  So
+  v lies in M iff no division fails and the reduction ends at zero.
+- Length.  v -> v[c] maps M_c onto p^e * Z/p^k when c holds a pivot p^e
+  (its row is the only one of M_c not zero at c) and onto 0 otherwise, with
+  kernel M_(c+1).  So |M| = p^L with L = sum (k - e) over the pivots; the
+  kernel normalises every pivot to exactly p^e, so e is read off the
+  pivot.  Two spans are equal iff they have the same length and one lies
+  in the other.
 
 A product sums at most ``width`` terms, each below (mod - 1)^2.  One policy
 (``residue_dtype`` for stored residues, ``_arithmetic`` for the kernel)
@@ -53,6 +78,7 @@ time (``HowellBuilder`` in ``tests/referees.py``).
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -64,6 +90,8 @@ PANEL = 64
 OBJECT_PANEL = 16
 # Rows converted or updated at once: bounds the temporaries on tall inputs.
 _ROW_CHUNK = 4096
+# Set by ``echelon_span_rows`` for the one call it makes.
+_ECHELON_ONLY = ContextVar("echelon_only", default=False)
 
 
 def _is_prime(n: int) -> bool:
@@ -305,14 +333,96 @@ def howell_span_rows(p: int, k: int, ncols: int, mat) -> list[np.ndarray]:
     reduction below 2^31, exact int64 with every product reduced from 2^31
     to 2^41, Python ints above.  Rows come back in pivot order, as int64
     for moduli below 2^31 and as Python ints (object) above, whatever the
-    tier.
+    tier.  Inside ``echelon_span_rows`` the call stops before
+    back-substitution.
     """
     mod = p**k
     tier, width = _arithmetic(mod)
     ops = _ops(tier, mod)
     H, cols, es = _eliminate(_working_copy(mat, ncols, mod, tier, ops.dtype), p, k, width, ops)
-    _back_substitute(H, cols, es, p, width, ops)
+    if not _ECHELON_ONLY.get():
+        _back_substitute(H, cols, es, p, width, ops)
     return [row for row in H.astype(residue_dtype(mod), copy=False)]
+
+
+def echelon_span_rows(p: int, k: int, ncols: int, mat) -> list[np.ndarray]:
+    """The rows of ``howell_span_rows`` before back-substitution: echelon,
+    pivots p^e, with the Howell property (module docstring).  The call goes
+    through ``howell_span_rows``, so the kernel keeps one entry point, with
+    the signature that ``perfbench/spans.py`` wraps and counts."""
+    token = _ECHELON_ONLY.set(True)
+    try:
+        return howell_span_rows(p, k, ncols, mat)
+    finally:
+        _ECHELON_ONLY.reset(token)
+
+
+class Echelon(NamedTuple):
+    """Echelon rows over Z/p^k with the Howell property and pivots p^e:
+    the rows of ``echelon_span_rows`` or of a Howell form."""
+
+    p: int
+    k: int
+    rows: np.ndarray  # (r, ncols) in residue_dtype(p^k), in pivot order
+    cols: np.ndarray  # the pivot column of each row
+    length: int  # the span has p^length elements
+
+
+def echelon(p: int, k: int, ncols: int, rows) -> Echelon:
+    """``rows``, echelon with pivots p^e and the Howell property, as an
+    ``Echelon``: its length is the sum of k - e over the pivots."""
+    mod = p**k
+    H = np.array(rows, dtype=residue_dtype(mod)).reshape(-1, ncols)
+    cols = np.argmax(H != 0, axis=1)
+    pivots = H[np.arange(len(H)), cols]
+    # sum e = the number of (row, j) with p^j | p^e, 1 <= j < k
+    es = sum(int(np.count_nonzero(pivots % p**j == 0)) for j in range(1, k))
+    return Echelon(p, k, H, cols, k * len(H) - es)
+
+
+def spans(E: Echelon, vectors) -> bool:
+    """True iff every row of ``vectors`` reduces to zero against E.
+
+    All rows are reduced at once, one block of ``width`` pivots at a time
+    as in back-substitution: a pivot's quotients are the vectors' entries
+    in its column, less the block's earlier quotients times their rows'
+    entries there, divided by the pivot; the block's reduction of the whole
+    vectors is then one product.  The loop stops at the first division that
+    fails.
+    """
+    p, k, H, cols = E.p, E.k, E.rows, E.cols
+    mod = p**k
+    tier, width = _arithmetic(mod)
+    # The float tier's sums stay below 2^53, so int64 holds them too, and
+    # reduces them with one ``%``.
+    ops = _ops(np.int64 if tier is np.float64 else tier, mod)
+    dot = ops.dot
+    V = _working_copy(vectors, H.shape[1], mod, tier, ops.dtype)
+    if not len(V):
+        return True
+    H = H.astype(V.dtype, copy=False)
+    pivots = [int(x) for x in E.rows[np.arange(len(H)), cols]]
+    for i0 in range(0, len(H), width):
+        i1 = min(i0 + width, len(H))
+        block = cols[i0:i1]
+        b0 = int(block[0])
+        Hb = H[i0:i1, b0:]
+        Hbc = Hb[:, block - b0]
+        S = V[:, block]
+        Q = np.zeros((len(V), i1 - i0), dtype=V.dtype)
+        for t in range(i1 - i0):
+            x = (S[:, t] - dot(Q[:, :t], Hbc[:t, t])) % mod
+            xs = x.tolist()
+            if not any(xs):
+                continue
+            pe = pivots[i0 + t]
+            if pe != 1:
+                if any(v % pe for v in xs):
+                    return False
+                x //= pe
+            Q[:, t] = x
+        V[:, b0:] = (V[:, b0:] - dot(Q, Hb)) % mod
+    return not V.any()
 
 
 def howell_form(A: CoeffMatrix) -> CoeffMatrix:
@@ -328,21 +438,12 @@ def same_span(A: CoeffMatrix, B: CoeffMatrix) -> bool:
 
 
 def _reduce(v, H: CoeffMatrix) -> bool:
-    """True iff v reduces to zero against H, which must be in Howell form."""
-    mod = H.modulus
-    vec = np.asarray(v, dtype=residue_dtype(mod)) % mod
+    """True iff v reduces to zero against H, which must have the Howell
+    property (a Howell form has)."""
+    vec = np.asarray(v)
     if vec.shape != (H.ncols,):
         raise ValueError("vector length does not match ncols")
-    for row in H.rows:
-        col = int(np.flatnonzero(row)[0])
-        x = int(vec[col])
-        if x == 0:
-            continue
-        pe = int(row[col])
-        if x % pe:
-            return False
-        vec = (vec - (x // pe) * row) % mod
-    return not np.any(vec)
+    return spans(echelon(H.p, H.k, H.ncols, H.rows), vec[None])
 
 
 def member(v, A: CoeffMatrix) -> bool:

@@ -142,11 +142,12 @@ def _tables(spec: GroupRingSpec) -> _Tables:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], spec: GroupRingSpec):
+    def __init__(self, tokens: list[Token], spec: GroupRingSpec, names=None):
         self.tokens = tokens
         self.pos = 0
         self.spec = spec
         self.tables = _tables(spec)
+        self.names = names or {}
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -218,7 +219,8 @@ class _Parser:
             more = True
         while more:
             tok = tokens[pos]
-            var = self.tables.names.get(tok.text) if tok.kind == "name" else None
+            var = self.tables.names.get(tok.text) \
+                if tok.kind == "name" and tok.text not in self.names else None
             if var is None or var[0] in used:
                 return False
             axis, stride, radix, is_tau = var
@@ -292,6 +294,12 @@ class _Parser:
     def name_atom(self, tok: Token) -> RingElement:
         spec = self.spec
         name = tok.text
+        if name in self.names:
+            value = self.names[name]
+            if not isinstance(value, RingElement):
+                raise ParseError(f"name {name!r} is bound to a {type(value).__name__}, "
+                                 "not a ring element", tok.line, tok.column)
+            return value
         if name == "N":
             self.expect("(")
             indices = []
@@ -329,9 +337,14 @@ class _Parser:
         return tvar(spec, idx)
 
 
-def parse_element(src: str, spec: GroupRingSpec) -> RingElement:
-    """Parse and evaluate an expression in the ring given by ``spec``."""
-    return _Parser(tokenize(src), spec).parse()
+def parse_element(src: str, spec: GroupRingSpec, names=None) -> RingElement:
+    """Parse and evaluate an expression in the ring given by ``spec``.
+
+    ``names`` maps bound names to values; a bound name stands for its value
+    and shadows the built-in identifiers, and a name bound to anything but a
+    ring element is an error that names it.
+    """
+    return _Parser(tokenize(src), spec, names).parse()
 
 
 def element_to_text(x: RingElement) -> str:

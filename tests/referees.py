@@ -9,8 +9,11 @@ the minors of ``iwafit.fitting._minors_by_size`` and their order;
 ``char_eval_naive`` walks the group monomials one at a time, the referee
 for ``iwafit.groupring.char_eval``; ``stacked_canonical`` and
 ``stacked_key`` take one Howell pass over every block row of every
-generator, the referees for ``Ideal.canonical`` and ``Ideal.key`` on
-ideals generated by T_d-homogeneous elements.
+generator, the referees for ``Ideal.canonical`` and, through
+``back_substituted``, for ``Ideal.key`` on ideals generated by
+T_d-homogeneous elements.  ``Ideal.key`` holds echelon forms, which are not
+unique; back-substituting one by the kernel's own step gives the unique
+Howell form, so a key block is held to the referee's block that way.
 No library path uses any of them.
 """
 
@@ -42,7 +45,15 @@ from iwafit.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from iwafit.linalg import CoeffMatrix, howell_span_rows, residue_dtype
+from iwafit.linalg import (
+    CoeffMatrix,
+    Echelon,
+    _arithmetic,
+    _back_substitute,
+    _ops,
+    howell_span_rows,
+    residue_dtype,
+)
 
 
 class HowellBuilder:
@@ -107,6 +118,24 @@ class HowellBuilder:
         self.pivot_val[col] = e
         if e > 0:
             queue.append((v * self.p ** (self.k - e)) % self.mod)
+
+    def length(self) -> int:
+        """L with p^L elements in the span: the sum of k - e over the pivots."""
+        return sum(self.k - e for e in self.pivot_val.values())
+
+    def contains(self, vec) -> bool:
+        """True iff vec reduces to zero against the pivot rows, in column
+        order; they have the Howell property, so this is membership."""
+        v = np.asarray(vec, dtype=self._dtype) % self.mod
+        for col in sorted(self.pivots):
+            x = int(v[col])
+            if x == 0:
+                continue
+            pe = self.p ** self.pivot_val[col]
+            if x % pe:
+                return False
+            v = (v - (x // pe) * self.pivots[col]) % self.mod
+        return not np.any(v)
 
     def normalized_rows(self) -> list[np.ndarray]:
         """Back-substituted rows, sorted by pivot column."""
@@ -256,3 +285,21 @@ def stacked_key(I: Ideal) -> tuple[CoeffMatrix, ...]:
         rows = howell_span_rows(spec.p, spec.k, ncols, np.vstack(stack)) if stack else ()
         forms.append(CoeffMatrix(spec.p, spec.k, ncols, tuple(rows)))
     return tuple(forms)
+
+
+def back_substituted(E: Echelon) -> CoeffMatrix:
+    """The rows of E reduced above every pivot by the kernel's
+    back-substitution: the Howell form of their span."""
+    mod = E.p**E.k
+    tier, width = _arithmetic(mod)
+    ops = _ops(tier, mod)
+    H = np.array(E.rows, dtype=ops.dtype)
+    es = []
+    for c, row in zip(E.cols, E.rows):
+        pivot, e = int(row[c]), 0
+        while pivot % E.p**(e + 1) == 0:
+            e += 1
+        es.append(e)
+    _back_substitute(H, list(E.cols), es, E.p, width, ops)
+    ncols = E.rows.shape[1]
+    return CoeffMatrix(E.p, E.k, ncols, tuple(H.astype(residue_dtype(mod), copy=False)))

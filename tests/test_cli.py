@@ -219,9 +219,32 @@ def test_bound_names_inside_literals():
     matrix = run_command("fitting [[D, 0], [0, A]]", session)
     assert matrix["canonical_generators"] == \
         run_command("fitting [[t1, 0], [0, tau1 + t1]]", session)["canonical_generators"]
-    # Only a whole entry is a name: inside an expression it stays unknown.
-    with pytest.raises(ParseError, match="unknown identifier 'A'"):
-        run_command("canon (A + t1)", session)
+    # Inside an expression a bound element name stands for its value.
+    assert run_command("canon (A + t1)", session)["canonical_generators"] \
+        == run_command("canon (tau1 + t1 + t1)", session)["canonical_generators"]
+
+
+def test_bound_names_inside_expressions():
+    session = fresh_session()
+    run_command("let A = tau1 + t1", session)
+    run_command("let J = (A*t1)", session)
+    doc = run_command("ideal-eq J (tau1*t1 + t1^2)", session)
+    assert doc["verdict"] == "equal"
+    assert run_command("frac-eq (A^2 - A*t1)/t1 (tau1^2 + tau1*t1)/t1", session)["verdict"] \
+        == "equal"
+    # A bound name shadows the built-in one it spells.
+    shadowed = fresh_session()
+    run_command("let t1 = 3*tau1", shadowed)
+    assert run_command("canon (t1*tau1 + t1)", shadowed)["canonical_generators"] \
+        == run_command("canon (3*tau1^2 + 3*tau1)", session)["canonical_generators"]
+    # A name bound to an ideal or a matrix stays a named error inside an
+    # expression; an unbound name stays unknown.
+    run_command("let I = (tau1, t1)", session)
+    run_command("let M = [[t1]]", session)
+    for line, name in (("canon (I + t1)", "I"), ("let K = (t1*M)", "M"),
+                       ("canon (A + B)", "B")):
+        with pytest.raises(ParseError, match=f"'{name}'"):
+            run_command(line, session)
 
 
 def test_bound_non_element_inside_literal_is_named():

@@ -2,9 +2,11 @@
 
 A block whose generator images are all homogeneous in T_d (the last T
 variable) gets its Howell form from one pass per distinct degree over the
-ring without T_d (``ideals._graded_rows``).  Its referee is one Howell pass
-over every stacked multiplication or block row (``stacked_canonical`` and
-``stacked_key`` in ``referees.py``), which takes no notice of the grading.
+ring without T_d (``ideals._graded_rows``), and its key block the echelon
+form from the same passes stopped before back-substitution.  Its referee is
+one Howell pass over every stacked multiplication or block row
+(``stacked_canonical`` and ``stacked_key`` in ``referees.py``), which takes
+no notice of the grading; a key block is held to it back-substituted.
 """
 
 import numpy as np
@@ -18,19 +20,22 @@ from iwafit import (
     Ideal,
     PrecisionError,
     ShiftRequest,
+    apply_hom,
     const,
     delta,
     from_vector,
+    ideal_equal,
     mul,
     one,
     shift_trivial,
     tvar,
+    twist_hom,
 )
 from iwafit.shifts import UnsupportedShiftError
 
 from conftest import random_element
-from referees import stacked_canonical, stacked_key
-from test_ideals import SPLIT_SPECS
+from referees import back_substituted, stacked_canonical, stacked_key
+from test_ideals import GENERATORS, SPLIT_SPECS, build
 
 GRADED_SPECS = dict(SPLIT_SPECS, **{
     # T_2 grades, T_1 lives in the ring without T_2; x^4 - 1 has a
@@ -99,7 +104,7 @@ def graded_ideal(spec, xs, gens):
 
 def assert_matches_referee(I):
     assert I.canonical == stacked_canonical(I)
-    assert I.key == stacked_key(I)
+    assert tuple(back_substituted(E) for E in I.key) == stacked_key(I)
 
 
 @pytest.mark.parametrize("name", sorted(GRADED_SPECS))
@@ -169,3 +174,67 @@ def test_shift_numerators_match_the_stacked_referee(orders, d, graded_calls):
             assert_matches_referee(I)
             checked += 1
     assert checked and len(graded_calls) >= checked
+
+
+# --------------------------------------------------------------------------
+# Equality decided on echelon forms, against canonical equality, where the
+# two sides always have the same size: J = sigma(I) for a twist sigma.
+
+
+def roots_of_unity(p, k, m):
+    """The units v mod p^k with v^m = 1 among the Teichmuller lifts times
+    1 + b * p^(k-1)."""
+    mod = p**k
+    return sorted({v for a in range(1, p) for b in range(p)
+                   for v in [pow(a, p ** (k - 1), mod) * (1 + b * p ** (k - 1)) % mod]
+                   if pow(v, m, mod) == 1})
+
+
+def twisted(sigma, I):
+    return Ideal(I.spec, [apply_hom(sigma, g) for g in I.generators])
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_SPECS))
+def test_ideal_equal_matches_canonical_on_twisted_ideals(name):
+    """A twist of the group variables is a ring automorphism, so sigma(I)
+    has the size of I: a verdict "unequal" on such a pair with equal block
+    lengths comes from membership alone."""
+    spec = GRADED_SPECS[name]
+    roots = [roots_of_unity(spec.p, spec.k, m) for m in spec.orders]
+
+    @settings(max_examples=8, deadline=None, database=None)
+    @given(case=GRADED_SETS, gens=GENERATORS,
+           twist=st.lists(st.integers(0, 99), min_size=spec.s, max_size=spec.s))
+    def check(case, gens, twist):
+        sigma = twist_hom(spec, [r[i % len(r)] for r, i in zip(roots, twist)], [1] * spec.d)
+        # x * (tau_1 + T_d) is seldom stable under a twist of delta_1.
+        moved = mul(build(spec, gens[0]), delta(spec, 1) - one(spec) + tvar(spec, spec.d))
+        for I in (graded_ideal(spec, *case), Ideal(spec, [build(spec, g) for g in gens]),
+                  Ideal(spec, [moved])):
+            J = twisted(sigma, I)
+            # Echelon keys first; then keys taken from cached canonical forms
+            # on a spec without a split axis.
+            verdicts = [ideal_equal(I, J), ideal_equal(J, I)]
+            same = I.canonical == J.canonical
+            assert sum(E.length for E in I.key) == sum(E.length for E in J.key)
+            I2, J2 = Ideal(spec, I.generators), Ideal(spec, J.generators)
+            assert I2.canonical == I.canonical and J2.canonical == J.canonical
+            verdicts += [ideal_equal(I2, J2), ideal_equal(J2, I2)]
+            assert verdicts == [same] * 4
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["p3-group", "d2-p3-group", "p5-two-axes"])
+def test_a_twist_moves_an_ideal_of_the_same_block_lengths(name):
+    """delta_1 -> (1 + p^(k-1)) * delta_1 fixes every CRT block; it moves
+    (tau_1 + T_d), whose twist has the same length in each block, so only
+    membership tells the two apart."""
+    spec = GRADED_SPECS[name]
+    t = tvar(spec, spec.d)
+    I = Ideal(spec, [delta(spec, 1) - one(spec) + t])
+    u = 1 + spec.p ** (spec.k - 1)
+    J = twisted(twist_hom(spec, [u] + [1] * (spec.s - 1), [1] * spec.d), I)
+    assert [E.length for E in I.key] == [E.length for E in J.key]
+    assert not ideal_equal(I, J) and not ideal_equal(J, I)
+    assert I.canonical != J.canonical

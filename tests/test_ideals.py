@@ -34,10 +34,11 @@ from iwafit import (
     zero_ideal,
 )
 from iwafit.groupring import _pmul, _pxgcd, crt_factors
-from iwafit.ideals import _split, nzd_status
+from iwafit.ideals import _block_images, _split, nzd_status
 from iwafit.linalg import _reduce
 
 from conftest import random_element
+from referees import back_substituted
 
 
 def test_canonical_form_ignores_generator_presentation(rng):
@@ -282,7 +283,25 @@ def test_block_count():
                       "p3-m4-k21-object": 3, "p7-m6-k11": 6}
     spec = SPLIT_SPECS["p3-group"]
     I = Ideal(spec, [tvar(spec, 1)])
-    assert I.key == (I.canonical,)
+    assert tuple(back_substituted(E) for E in I.key) == (I.canonical,)
+
+
+def test_crt_blocks_need_not_be_local():
+    """x^4 - 1 = (x - 1)(x + 1)(x^2 + 1) mod 3, and the block of the two
+    quadratic factors is F_9 (x) F_9 = F_9 x F_9 modulo 3, not a local ring:
+    x - y is not zero there modulo 3, yet (x - y)(x + y) = x^2 - y^2 = 0, and
+    (x - y) is neither 0 nor the whole block (Howell form of 2 rows in 4
+    columns).  So a non-zero generator modulo the maximal ideal of a block
+    need not make its ideal the whole block."""
+    spec = GroupRingSpec(3, 2, (4, 4), 0, 1)
+    split = _split(spec)
+    b = split.blocks.index(((2, 2), (2, 2)))
+    x, y = delta(spec, 1), delta(spec, 2)
+    I = Ideal(spec, [x - y])
+    assert back_substituted(I.key[b]).nrows == 2 and I.key[b].rows.shape == (2, 4)
+    assert I.key[b].length == 2 * spec.k
+    assert np.any(_block_images(spec, split, (x - y).coeffs)[b] % spec.p)
+    assert not np.any(_block_images(spec, split, mul(x - y, x + y).coeffs)[b])
 
 
 def test_block_key_with_maximal_coefficients():

@@ -22,14 +22,17 @@ from iwafit.linalg import (
     CoeffMatrix,
     _arithmetic,
     _ops,
+    echelon,
+    echelon_span_rows,
     howell_form,
     howell_span_rows,
     member,
     residue_dtype,
     same_span,
+    spans,
 )
 
-from referees import HowellBuilder
+from referees import HowellBuilder, back_substituted
 
 
 def enumerate_span(rows, mod, ncols):
@@ -180,6 +183,62 @@ def test_kernel_matches_builder(p, k, tier, examples):
         A = structured_rows(seed, p, k, nrows, ncols)
         H = CoeffMatrix(p, k, ncols, tuple(howell_span_rows(p, k, ncols, A)))
         assert H == builder_form(p, k, ncols, A)
+
+    check()
+
+
+# The echelon stage in each tier: float64, cut-panel int64, exact int64 and
+# Python ints.
+ECHELON_TIERS = [
+    (5, 4, np.float64),
+    (3, 18, np.int64),
+    (3, 21, EXACT_INT64),
+    (3, 70, object),
+]
+
+
+def probe_vectors(rnd, A, p, k, count):
+    """Random combinations of the rows of A, in its span, and the same
+    combinations plus p^j times a unit in one column, which may leave it."""
+    mod = p**k
+    rows = np.asarray(A, dtype=object)
+    out = []
+    for _ in range(count):
+        picks = [(rnd.randrange(mod), rnd.randrange(len(rows))) for _ in range(3)]
+        v = sum(c * rows[i] for c, i in picks) % mod
+        out.append(v)
+        w = v.copy()
+        c = rnd.randrange(len(w))
+        w[c] = (w[c] + p ** rnd.randrange(k) * rnd.choice([1, mod - 1])) % mod
+        out.append(w)
+    return np.array(out, dtype=object).reshape(len(out), rows.shape[1])
+
+
+@pytest.mark.parametrize("p,k,tier", ECHELON_TIERS)
+def test_echelon_stage_matches_builder(p, k, tier):
+    """Stopped before back-substitution, the kernel's rows back-substitute to
+    the builder's Howell form, carry its length and decide membership as
+    its pivot rows do."""
+    assert _arithmetic(p**k)[0] is tier
+
+    @settings(max_examples=6, deadline=None, database=None)
+    @given(shape=st.integers(1, 100).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 2 * n))),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shape=(100, 150), seed=0)
+    def check(shape, seed):
+        ncols, nrows = shape
+        A = structured_rows(seed, p, k, nrows, ncols)
+        E = echelon(p, k, ncols, echelon_span_rows(p, k, ncols, A))
+        builder = HowellBuilder(p, k, ncols)
+        for row in A:
+            builder.insert(row)
+        assert back_substituted(E) == CoeffMatrix(p, k, ncols, tuple(builder.normalized_rows()))
+        assert E.length == builder.length()
+        V = probe_vectors(random.Random(seed), A, p, k, 4)
+        expected = [builder.contains(v) for v in V]
+        assert [spans(E, v[None]) for v in V] == expected
+        assert spans(E, V) == all(expected)
+        assert spans(E, V[::2])
 
     check()
 
