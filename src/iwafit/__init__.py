@@ -13,7 +13,6 @@ from .apps import (
     euler_character,
     euler_factor_closed,
     euler_factor_direct,
-    tate_twist_ideal,
 )
 from .complexes import (
     ChainComplex,
@@ -27,8 +26,6 @@ from .complexes import (
 from .errors import IwafitError, ParseError, PrecisionError, SpecMismatchError
 from .fitting import (
     PresentedModule,
-    apply_hom_to_presentation,
-    direct_sum,
     fitting_ideal,
     lift_presentation,
     lifted_fitting_ideal,
@@ -48,8 +45,6 @@ from .groupring import (
     delta,
     from_vector,
     group_like,
-    inclusion_hom,
-    inverse_twist,
     make_element,
     mul,
     norm_element,
@@ -64,7 +59,6 @@ from .ideals import (
     FractionalIdeal,
     Ideal,
     frac_equal,
-    frac_mul,
     ideal_equal,
     ideal_mul,
     ideal_pow,

@@ -1,4 +1,4 @@
-"""Euler factors computed two independent ways, and Tate-twist base change.
+"""Euler factors computed two independent ways.
 
 The local ring models Z_p[[G_v]] for G_v = I_v x <frobenius-image> x Z_p:
 its cyclic factors are the inertia factors followed (when m_v > 1) by one
@@ -162,14 +162,3 @@ def euler_factor_direct(data: DecompositionData,
     status = _check_denominator(den, assume_nzd)
     return FractionalIdeal(num, den, status)
 
-
-def tate_twist_ideal(r: int, kappa_delta, kappa_gamma, I: Ideal) -> Ideal:
-    """Image of an ideal under the twist automorphism g -> kappa(g)^r * g."""
-    spec = I.spec
-    mod = spec.modulus
-    for v in tuple(kappa_delta) + tuple(kappa_gamma):
-        if v % spec.p == 0:
-            raise ValueError(f"character value {v} is not a unit mod p^k")
-    h = twist_hom(spec, tuple(pow(v, r, mod) for v in kappa_delta),
-                  tuple(pow(v, r, mod) for v in kappa_gamma))
-    return Ideal(spec, [apply_hom(h, g) for g in I.generators])

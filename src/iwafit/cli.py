@@ -302,10 +302,10 @@ def run_command(line: str, session: Session) -> dict:
         out["certified_precision"] = session.require_spec().N
         out["canonical_generators"] = ideal_generators_text(value.numerator)
     elif cmd == "euler":
-        if len(args) != 1:
+        path = line.strip()[len("euler"):].strip()
+        if not path:
             raise UsageError("euler takes one JSON data file")
-        data = load_euler_data(args[0],
-                               precision=session.precision_override)
+        data = load_euler_data(path, precision=session.precision_override)
         closed = euler_factor_closed(data, assume_nzd=session.assume_nzd)
         direct = euler_factor_direct(data, assume_nzd=session.assume_nzd)
         verdict = frac_equal(closed, direct)
@@ -355,8 +355,13 @@ def parse_precision(text: str) -> tuple[int, int]:
 
 
 def load_euler_data(path: str, precision=None) -> DecompositionData:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read euler data file: {exc}") from None
+    if not isinstance(raw, dict):
+        raise UsageError(f"euler data file {path!r} does not hold a JSON object")
     try:
         p = int(raw["p"])
         k = int(raw["k"])

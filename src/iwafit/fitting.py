@@ -32,7 +32,7 @@ import numpy as np
 
 from .complexes import RingMatrix
 from .errors import SpecMismatchError
-from .groupring import GroupRingSpec, RingElement, _zeros, apply_hom, multiplication_rows, one
+from .groupring import GroupRingSpec, RingElement, _zeros, multiplication_rows, one
 from .ideals import Ideal, _distinct_nonzero_positions
 
 
@@ -219,21 +219,3 @@ def transpose_dual(m: PresentedModule) -> PresentedModule:
         raise ValueError("transpose dual needs a square presentation")
     return PresentedModule(h.transpose())
 
-
-def direct_sum(m1: PresentedModule, m2: PresentedModule) -> PresentedModule:
-    if m1.spec != m2.spec:
-        raise SpecMismatchError("summands live on different specs")
-    h1, h2 = m1.presentation, m2.presentation
-    out = _zeros(m1.spec, h1.nrows + h2.nrows, h1.ncols + h2.ncols)
-    out[:h1.nrows, :h1.ncols] = h1.coeffs
-    out[h1.nrows:, h1.ncols:] = h2.coeffs
-    return PresentedModule(RingMatrix(m1.spec, out))
-
-
-def apply_hom_to_presentation(hom, m: PresentedModule) -> PresentedModule:
-    """Entrywise image of the presentation under a ring homomorphism."""
-    h = m.presentation
-    out = _zeros(hom.target, h.nrows, h.ncols)
-    for i, j in np.ndindex(h.nrows, h.ncols):
-        out[i, j] = apply_hom(hom, h.at(i, j)).coeffs
-    return PresentedModule(RingMatrix(hom.target, out))

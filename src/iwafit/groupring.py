@@ -5,8 +5,8 @@ delta_i^(m_i) = 1 and T_j^N = 0.  Elements are dense coefficient vectors
 indexed by the monomials delta^a * T^b with 0 <= a_i < m_i, 0 <= b_j < N.
 Everything here is immutable; operations are pure functions.
 
-Every change of coordinates that acts one axis at a time (the quotients,
-the twists, the parser's tau basis and the CRT blocks of ``ideals``) is
+Every change of coordinates that acts one axis at a time (the ring
+homomorphisms, the parser's tau basis and the CRT blocks of ``ideals``) is
 ``along_axes``: one (r_out, r_in) matrix per axis of the coefficient
 tensor, of shape ``spec.radices``, in ``residue_dtype(p^k, inner=r_in)``.
 Homomorphism images are cast to the target spec's dtype.
@@ -333,27 +333,27 @@ def augmentation(x: RingElement) -> RingElement:
 # Ring homomorphisms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RingHom:
-    """Quotient, twist, or inclusion homomorphism between group ring specs.
-
-    quotient:  kill_delta / kill_t are 1-based index sets; the listed
-               delta_i map to 1 and the listed T_j to 0.
-    twist:     each delta_i maps to delta_values[i] * delta_i and each
-               topological generator 1 + T_j to gamma_values[j] * (1 + T_j).
-    inclusion: each source generator maps to a given group-like monomial of
-               the target ring.
-    """
+    """A ring homomorphism between group ring specs, as one read-only
+    (r_out, r_in) matrix, or None, per axis of the source: x maps to
+    ``along_axes(source, x.coeffs, mats)`` on the target spec.  Two homs
+    are equal when their specs and matrices are."""
 
     source: GroupRingSpec
     target: GroupRingSpec
-    kind: str
-    kill_delta: frozenset = frozenset()
-    kill_t: frozenset = frozenset()
-    delta_values: tuple = ()
-    gamma_values: tuple = ()
-    delta_images: tuple = ()
-    gamma_images: tuple = ()
+    mats: tuple
+
+    def __post_init__(self):
+        for mat in self.mats:
+            if mat is not None:
+                mat.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, RingHom):
+            return NotImplemented
+        return (self.source, self.target) == (other.source, other.target) and all(
+            map(np.array_equal, self.mats, other.mats))
 
 
 def quotient_hom(spec: GroupRingSpec, kill_delta=(), kill_t=()) -> RingHom:
@@ -365,7 +365,12 @@ def quotient_hom(spec: GroupRingSpec, kill_delta=(), kill_t=()) -> RingHom:
         raise ValueError("quotient kills a nonexistent T variable")
     orders = tuple(m for i, m in enumerate(spec.orders, 1) if i not in kill_delta)
     target = GroupRingSpec(spec.p, spec.k, orders, spec.d - len(kill_t), spec.N)
-    return RingHom(spec, target, "quotient", kill_delta=kill_delta, kill_t=kill_t)
+    # delta_i -> 1 sums the axis; T_j -> 0 keeps its constant term.
+    mats = [np.ones((1, m), dtype=np.int64) if i in kill_delta else None
+            for i, m in enumerate(spec.orders, 1)]
+    mats += [np.eye(1, spec.N, dtype=np.int64) if j in kill_t else None
+             for j in range(1, spec.d + 1)]
+    return RingHom(spec, target, tuple(mats))
 
 
 def twist_hom(spec: GroupRingSpec, delta_values=(), gamma_values=()) -> RingHom:
@@ -390,18 +395,11 @@ def twist_hom(spec: GroupRingSpec, delta_values=(), gamma_values=()) -> RingHom:
     for v, m in zip(delta_values, spec.orders):
         if pow(v, m, spec.modulus) != 1:
             raise ValueError("twist value does not respect the generator order")
-    return RingHom(spec, spec, "twist", delta_values=delta_values, gamma_values=gamma_values)
-
-
-def inverse_twist(h: RingHom) -> RingHom:
-    if h.kind != "twist":
-        raise ValueError("not a twist")
-    mod = h.source.modulus
-    return twist_hom(
-        h.source,
-        tuple(pow(v, -1, mod) for v in h.delta_values),
-        tuple(pow(v, -1, mod) for v in h.gamma_values),
-    )
+    mod = spec.modulus
+    mats = [np.diag(np.array([pow(v, a, mod) for a in range(m)], dtype=object))
+            for v, m in zip(delta_values, spec.orders)]
+    mats += [_twist_t_matrix(spec, u) for u in gamma_values]
+    return RingHom(spec, spec, tuple(mats))
 
 
 def group_like(spec: GroupRingSpec, delta_exps, gamma_exps) -> RingElement:
@@ -417,26 +415,6 @@ def group_like(spec: GroupRingSpec, delta_exps, gamma_exps) -> RingElement:
             raise ValueError("gamma exponents must be nonnegative")
         result = mul(result, (one(spec) + tvar(spec, j)) ** c)
     return result
-
-
-def inclusion_hom(source: GroupRingSpec, target: GroupRingSpec,
-                  delta_images=(), gamma_images=()) -> RingHom:
-    if source.p != target.p or source.k != target.k or source.N != target.N:
-        raise ValueError("inclusion requires matching p, k, N")
-    delta_images = tuple(delta_images)
-    gamma_images = tuple(gamma_images)
-    if len(delta_images) != source.s or len(gamma_images) != source.d:
-        raise ValueError("inclusion needs one image per source generator")
-    for img, m in zip(delta_images, source.orders):
-        if img.spec != target:
-            raise SpecMismatchError("generator image lives on the wrong spec")
-        if img**m != one(target):
-            raise ValueError("generator image does not respect the generator order")
-    for img in gamma_images:
-        if img.spec != target:
-            raise SpecMismatchError("generator image lives on the wrong spec")
-    return RingHom(source, target, "inclusion",
-                   delta_images=delta_images, gamma_images=gamma_images)
 
 
 def along_axes(spec: GroupRingSpec, coeffs: np.ndarray, mats) -> np.ndarray:
@@ -472,43 +450,7 @@ def apply_hom(h: RingHom, x: RingElement) -> RingElement:
     """Apply a ring homomorphism to an element."""
     if x.spec != h.source:
         raise SpecMismatchError("element does not live on the hom's source spec")
-    spec, mod = h.source, h.source.modulus
-    if h.kind == "quotient":
-        # delta_i -> 1 sums the axis; T_j -> 0 keeps its constant term.
-        mats = [np.ones((1, m), dtype=np.int64) if i in h.kill_delta else None
-                for i, m in enumerate(spec.orders, 1)]
-        mats += [np.eye(1, spec.N, dtype=np.int64) if j in h.kill_t else None
-                 for j in range(1, spec.d + 1)]
-    elif h.kind == "twist":
-        mats = [np.diag(np.array([pow(v, a, mod) for a in range(m)], dtype=object))
-                for v, m in zip(h.delta_values, spec.orders)]
-        mats += [_twist_t_matrix(spec, u) for u in h.gamma_values]
-    elif h.kind == "inclusion":
-        result = zero(h.target)
-        # Precompute generator powers in the target ring.
-        dpow = [[one(h.target)] for _ in range(spec.s)]
-        for i, m in enumerate(spec.orders):
-            for _ in range(1, m):
-                dpow[i].append(mul(dpow[i][-1], h.delta_images[i]))
-        tpow = [[one(h.target)] for _ in range(spec.d)]
-        for j in range(spec.d):
-            timg = h.gamma_images[j] - one(h.target)
-            for _ in range(1, spec.N):
-                tpow[j].append(mul(tpow[j][-1], timg))
-        acc = result.coeffs
-        for exps, coeff in x.terms():
-            term = one(h.target)
-            for i in range(spec.s):
-                if exps[i]:
-                    term = mul(term, dpow[i][exps[i]])
-            for j in range(spec.d):
-                if exps[spec.s + j]:
-                    term = mul(term, tpow[j][exps[spec.s + j]])
-            acc = (acc + coeff * term.coeffs) % mod
-        return RingElement(h.target, acc)
-    else:
-        raise ValueError(f"unknown hom kind {h.kind!r}")
-    image = along_axes(spec, x.coeffs, mats)
+    image = along_axes(h.source, x.coeffs, h.mats)
     return RingElement(h.target, image.reshape(h.target.size).astype(h.target.dtype()))
 
 

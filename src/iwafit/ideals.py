@@ -433,15 +433,6 @@ def frac_equal(X: FractionalIdeal, Y: FractionalIdeal) -> FracVerdict:
     return FracVerdict(True, certified)
 
 
-def frac_mul(X: FractionalIdeal, Y: FractionalIdeal) -> FractionalIdeal:
-    if X.spec != Y.spec:
-        raise SpecMismatchError("fractional ideals live on different specs")
-    status = "certified" if X.nzd_status == Y.nzd_status == "certified" else "assumed"
-    return FractionalIdeal(
-        ideal_mul(X.numerator, Y.numerator), mul(X.denominator, Y.denominator), status
-    )
-
-
 # --------------------------------------------------------------------------
 # Non-zero-divisor certificates
 

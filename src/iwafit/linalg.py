@@ -437,15 +437,11 @@ def same_span(A: CoeffMatrix, B: CoeffMatrix) -> bool:
     return howell_form(A) == howell_form(B)
 
 
-def _reduce(v, H: CoeffMatrix) -> bool:
-    """True iff v reduces to zero against H, which must have the Howell
-    property (a Howell form has)."""
-    vec = np.asarray(v)
-    if vec.shape != (H.ncols,):
-        raise ValueError("vector length does not match ncols")
-    return spans(echelon(H.p, H.k, H.ncols, H.rows), vec[None])
-
-
 def member(v, A: CoeffMatrix) -> bool:
-    """True iff v lies in the row span of A."""
-    return _reduce(v, howell_form(A))
+    """True iff v lies in the row span of A: v reduces to zero against the
+    Howell form of A, which has the Howell property."""
+    vec = np.asarray(v)
+    if vec.shape != (A.ncols,):
+        raise ValueError("vector length does not match ncols")
+    H = howell_form(A)
+    return spans(echelon(H.p, H.k, H.ncols, H.rows), vec[None])

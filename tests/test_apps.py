@@ -1,4 +1,4 @@
-"""Euler factors, the untwisting character, and Tate twists."""
+"""Euler factors and the untwisting character."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +8,6 @@ from iwafit import (
     DecompositionData,
     GroupRingSpec,
     Ideal,
-    delta,
     euler_character,
     euler_factor_closed,
     euler_factor_direct,
@@ -16,8 +15,6 @@ from iwafit import (
     ideal_equal,
     norm_element,
     one,
-    tate_twist_ideal,
-    tvar,
 )
 from iwafit.apps import _teichmuller
 from iwafit.errors import IwafitError
@@ -110,24 +107,3 @@ def test_denominator_guard():
     out = euler_factor_closed(data, assume_nzd=True)
     assert out.nzd_status == "assumed"
 
-
-def test_tate_twist_composes():
-    spec = GroupRingSpec(3, 3, (3,), 1, 4)
-    t = tvar(spec, 1)
-    I = Ideal(spec, [delta(spec, 1) - one(spec), t * t])
-    kd, kg = (10,), (4,)
-    twice = tate_twist_ideal(2, kd, kg, I)
-    step = tate_twist_ideal(1, kd, kg, tate_twist_ideal(1, kd, kg, I))
-    assert ideal_equal(twice, step)
-    # r and -r are inverse to each other
-    back = tate_twist_ideal(-1, kd, kg, tate_twist_ideal(1, kd, kg, I))
-    assert ideal_equal(back, I)
-    # the identity character fixes everything
-    assert ideal_equal(tate_twist_ideal(5, (1,), (1,), I), I)
-
-
-def test_tate_twist_rejects_non_units():
-    spec = GroupRingSpec(3, 2, (3,), 1, 3)
-    I = Ideal(spec, [tvar(spec, 1)])
-    with pytest.raises(ValueError):
-        tate_twist_ideal(1, (3,), (1,), I)

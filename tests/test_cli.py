@@ -274,3 +274,29 @@ def test_unsupported_shift_exits_one(tmp_path, capsys):
     neg.write_text("spec p=3 k=3 N=4 orders=3,3 d=2\nshift-trivial -1\n")
     assert main(["run", str(neg)]) == 1
     assert "negative shift n=-1 is unsupported for d=2, s=2" in capsys.readouterr().err
+
+
+def test_missing_euler_data_file_is_a_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(UsageError, match="cannot read euler data file"):
+        run_command(f"euler {missing}", fresh_session())
+    assert main(["euler", missing]) == 2
+    assert "missing.json" in capsys.readouterr().err
+
+
+def test_euler_data_file_must_hold_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    assert main(["euler", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "does not hold a JSON object" in err
+    assert "missing field" not in err
+
+
+def test_euler_data_path_may_contain_spaces(tmp_path, capsys):
+    data = {"p": 3, "k": 3, "N": 4, "inertia_orders": [3], "m_v": 2, "q": 2,
+            "frobenius": {"delta_exponents": [0, 1], "gamma_exponent": 1}}
+    path = tmp_path / "my data.json"
+    path.write_text(json.dumps(data))
+    assert main(["--assume-nzd", "euler", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["verdict"] == "equal"

@@ -19,8 +19,6 @@ from iwafit import (
     delta,
     from_vector,
     group_like,
-    inclusion_hom,
-    inverse_twist,
     make_element,
     mul,
     norm_element,
@@ -258,10 +256,18 @@ def test_gamma_twist_multiplicative_below_truncation(rng):
         assert apply_hom(h, mul(x, y)) == mul(apply_hom(h, x), apply_hom(h, y))
 
 
+def untwist(spec, delta_values, gamma_values):
+    """The twist by the inverse values, built as ``euler_factor_direct``
+    builds its untwist."""
+    mod = spec.modulus
+    return twist_hom(spec, tuple(pow(v, -1, mod) for v in delta_values),
+                     tuple(pow(v, -1, mod) for v in gamma_values))
+
+
 def test_twist_inverse_roundtrip(rng):
     spec = GroupRingSpec(3, 3, (3,), 2, 4)
     h = twist_hom(spec, (10,), (4, 7))
-    hinv = inverse_twist(h)
+    hinv = untwist(spec, (10,), (4, 7))
     for _ in range(30):
         x = random_element(spec, rng)
         assert apply_hom(hinv, apply_hom(h, x)) == x
@@ -270,11 +276,41 @@ def test_twist_inverse_roundtrip(rng):
 @pytest.mark.parametrize("name", sorted(DTYPE_SPECS))
 def test_twist_inverse_roundtrip_at_dtype_boundaries(name, rng):
     spec = DTYPE_SPECS[name]
-    h = twist_hom(spec, tuple(root_of_unity(spec, m) for m in spec.orders), (1 + spec.p,))
-    hinv = inverse_twist(h)
+    values = tuple(root_of_unity(spec, m) for m in spec.orders), (1 + spec.p,)
+    h = twist_hom(spec, *values)
+    hinv = untwist(spec, *values)
     for _ in range(20):
         x = random_element(spec, rng)
         assert apply_hom(hinv, apply_hom(h, x)) == x
+
+
+def test_twist_composes(rng):
+    # the twist by v^2 is the twist by v applied twice, and the identity
+    # twist fixes everything
+    spec = GroupRingSpec(3, 3, (3,), 1, 4)
+    once = twist_hom(spec, (10,), (4,))
+    twice = twist_hom(spec, (100,), (16,))
+    identity = twist_hom(spec, (1,), (1,))
+    for _ in range(30):
+        x = random_element(spec, rng)
+        assert apply_hom(once, apply_hom(once, x)) == apply_hom(twice, x)
+        assert apply_hom(identity, x) == x
+
+
+def test_homs_compare_by_their_matrices():
+    spec = GroupRingSpec(3, 3, (3,), 1, 4)
+    h = twist_hom(spec, (10,), (4,))
+    assert h == twist_hom(spec, (10,), (4,))
+    assert h != twist_hom(spec, (10,), (7,))
+    assert h != twist_hom(spec, (19,), (4,))
+    assert quotient_hom(spec, kill_delta=(1,)) != quotient_hom(spec, kill_t=(1,))
+    assert quotient_hom(spec, kill_t=(1,)) == quotient_hom(spec, kill_t=(1,))
+    # the matrices are read-only: every twist by u shares one cached
+    # T-substitution matrix, which a write would change for all of them
+    for mat in h.mats:
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0
+    assert h == twist_hom(spec, (10,), (4,))
 
 
 def test_twist_on_group_like_elements():
@@ -292,17 +328,8 @@ def test_twist_rejects_bad_values():
         twist_hom(spec, (4,), (1,))  # 4^3 != 1 mod 27
     with pytest.raises(ValueError):
         twist_hom(spec, (1,), (3,))  # not a unit
-
-
-def test_inclusion_hom_is_multiplicative(rng):
-    small = GroupRingSpec(3, 3, (3,), 1, 4)
-    big = GroupRingSpec(3, 3, (3, 3), 1, 4)
-    h = inclusion_hom(small, big, delta_images=(delta(big, 1),),
-                      gamma_images=(one(big) + tvar(big, 1),))
-    for _ in range(20):
-        x = random_element(small, rng)
-        y = random_element(small, rng)
-        assert apply_hom(h, mul(x, y)) == mul(apply_hom(h, x), apply_hom(h, y))
+    with pytest.raises(ValueError):
+        twist_hom(spec, (3,), (1,))  # not a unit
 
 
 def test_multiplication_rows_agree_with_mul(rng):
