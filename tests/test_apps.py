@@ -1,4 +1,4 @@
-"""Euler factors and the untwisting character."""
+"""Euler factors, the untwisting character, and Tate twists."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +15,7 @@ from iwafit import (
     ideal_equal,
     norm_element,
     one,
+    twist_hom,
 )
 from iwafit.apps import _teichmuller
 from iwafit.errors import IwafitError
@@ -107,3 +108,9 @@ def test_denominator_guard():
     out = euler_factor_closed(data, assume_nzd=True)
     assert out.nzd_status == "assumed"
 
+
+def test_tate_twist_rejects_non_units():
+    # a Tate twist needs a unit value on delta; 3 is not a unit mod 3^2
+    spec = GroupRingSpec(3, 2, (3,), 1, 3)
+    with pytest.raises(ValueError):
+        twist_hom(spec, (3,), (1,))
