@@ -35,8 +35,6 @@ class DecompositionData:
     ``inertia_orders`` plus one trailing factor of order m_v when m_v > 1.
     ``frobenius_delta`` / ``frobenius_gamma`` give the Frobenius lift as the
     group-like monomial delta^a * (1 + T_1)^c in local coordinates.
-    ``ambient`` is the spec of the big ring (defaults to the local one; the
-    comparison of the two Euler-factor routes happens at the local level).
     """
 
     inertia_orders: tuple[int, ...]
@@ -45,7 +43,6 @@ class DecompositionData:
     local: GroupRingSpec
     frobenius_delta: tuple[int, ...]
     frobenius_gamma: int = 1
-    ambient: GroupRingSpec | None = None
 
     def __post_init__(self):
         if self.m_v < 1:

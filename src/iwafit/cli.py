@@ -382,11 +382,18 @@ def load_euler_data(path: str, precision=None) -> DecompositionData:
 
 
 def run_session(lines, session: Session, output=None) -> int:
+    """Run a session file's lines; ``#`` starts a comment."""
+    return _run_commands(enumerate((raw.split("#", 1)[0] for raw in lines), start=1),
+                         session, output)
+
+
+def _run_commands(commands, session: Session, output=None) -> int:
+    """Run the non-blank (line number, command) pairs up to the first error."""
     if output is None:
         output = sys.stdout
     status = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, line in commands:
+        line = line.strip()
         if not line:
             continue
         try:
@@ -440,14 +447,15 @@ def main(argv=None) -> int:
             return 2
         return run_session(lines, session)
     if args.mode == "euler":
-        return run_session([f"euler {args.file}"], session)
+        # A command, not a session line: a '#' in the path is no comment.
+        return _run_commands([(1, f"euler {args.file}")], session)
     if args.mode == "verify-paper":
         line = "verify-paper"
         if session.precision_override is not None:
             k, N = session.precision_override
             line += f" --precision {k},{N}"
             session.precision_override = None
-        return run_session([line], session)
+        return _run_commands([(1, line)], session)
     parser.print_help(sys.stderr)
     return 2
 

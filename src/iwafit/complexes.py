@@ -14,7 +14,7 @@ terms are ever consumed downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -29,15 +29,16 @@ from .groupring import (
     norm_element,
     tvar,
 )
+from .linalg import ArrayValue
 
 
-@dataclass(frozen=True)
-class RingMatrix:
+@dataclass(frozen=True, eq=False)
+class RingMatrix(ArrayValue):
     """Rectangular matrix of ring elements as a read-only (nrows, ncols, B)
     coefficient array in the spec's residue dtype."""
 
     spec: GroupRingSpec
-    coeffs: np.ndarray = field(compare=False)
+    coeffs: np.ndarray
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=self.spec.dtype())
@@ -45,13 +46,6 @@ class RingMatrix:
             raise ValueError("coefficient array must have shape (nrows, ncols, spec.size)")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, RingMatrix):
-            return NotImplemented
-        return self.spec == other.spec and np.array_equal(self.coeffs, other.coeffs)
-
-    __hash__ = None
 
     @property
     def nrows(self) -> int:

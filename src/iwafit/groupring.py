@@ -3,7 +3,9 @@
 The ring is R = (Z/p^k)[delta_1, ..., delta_s, T_1, ..., T_d] subject to
 delta_i^(m_i) = 1 and T_j^N = 0.  Elements are dense coefficient vectors
 indexed by the monomials delta^a * T^b with 0 <= a_i < m_i, 0 <= b_j < N.
-Everything here is immutable; operations are pure functions.
+Everything here is immutable: the value types are ``linalg.ArrayValue``s,
+which make their arrays read-only, a caller's array passed in included;
+operations are pure functions.
 
 Every change of coordinates that acts one axis at a time (the ring
 homomorphisms, the parser's tau basis and the CRT blocks of ``ideals``) is
@@ -16,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from .errors import SpecMismatchError
-from .linalg import _is_prime, residue_dtype
+from .linalg import ArrayValue, _is_prime, residue_dtype
 
 
 @dataclass(frozen=True)
@@ -139,23 +141,17 @@ def _mul_table(spec: GroupRingSpec) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RingElement:
+@dataclass(frozen=True, eq=False)
+class RingElement(ArrayValue):
     """Dense element of the truncated group ring."""
 
     spec: GroupRingSpec
-    coeffs: np.ndarray = field(compare=False)
+    coeffs: np.ndarray
 
     def __post_init__(self):
         if self.coeffs.shape != (self.spec.size,):
             raise ValueError("coefficient vector has wrong length")
-
-    def __eq__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.spec == other.spec and np.array_equal(self.coeffs, other.coeffs)
-
-    __hash__ = None
+        self.coeffs.flags.writeable = False
 
     def __add__(self, other):
         _check_specs(self, other)
@@ -334,11 +330,10 @@ def augmentation(x: RingElement) -> RingElement:
 
 
 @dataclass(frozen=True, eq=False)
-class RingHom:
+class RingHom(ArrayValue):
     """A ring homomorphism between group ring specs, as one read-only
     (r_out, r_in) matrix, or None, per axis of the source: x maps to
-    ``along_axes(source, x.coeffs, mats)`` on the target spec.  Two homs
-    are equal when their specs and matrices are."""
+    ``along_axes(source, x.coeffs, mats)`` on the target spec."""
 
     source: GroupRingSpec
     target: GroupRingSpec
@@ -348,12 +343,6 @@ class RingHom:
         for mat in self.mats:
             if mat is not None:
                 mat.flags.writeable = False
-
-    def __eq__(self, other):
-        if not isinstance(other, RingHom):
-            return NotImplemented
-        return (self.source, self.target) == (other.source, other.target) and all(
-            map(np.array_equal, self.mats, other.mats))
 
 
 def quotient_hom(spec: GroupRingSpec, kill_delta=(), kill_t=()) -> RingHom:
@@ -658,22 +647,16 @@ def _zeta_powers(e: int, modulus: int) -> np.ndarray:
     return power_residues(cyclotomic_poly(e), e, modulus)
 
 
-@dataclass(frozen=True)
-class CyclotomicElement:
+@dataclass(frozen=True, eq=False)
+class CyclotomicElement(ArrayValue):
     """Element of (Z/p^k)[x]/Phi_e(x) tensored with the truncated T-part."""
 
     modulus: int
     e: int
-    coeffs: np.ndarray = field(compare=False)  # shape (phi(e), t_size)
+    coeffs: np.ndarray  # shape (phi(e), t_size)
 
-    def __eq__(self, other):
-        if not isinstance(other, CyclotomicElement):
-            return NotImplemented
-        return (self.modulus, self.e) == (other.modulus, other.e) and np.array_equal(
-            self.coeffs, other.coeffs
-        )
-
-    __hash__ = None
+    def __post_init__(self):
+        self.coeffs.flags.writeable = False
 
     def is_zero(self) -> bool:
         return not np.any(self.coeffs)

@@ -28,7 +28,8 @@ F_9 (x) F_9 = F_9 x F_9 modulo 3.
 
 ``Ideal.key`` holds, per block, the echelon form of pi_b(I) that the
 kernel's elimination leaves before back-substitution
-(``linalg.echelon_span_rows``); it has the Howell property, so it decides
+(``linalg.echelon_span_rows``), a ``linalg.CoeffMatrix`` like the
+canonical form; it has the Howell property, so it decides
 membership and gives the length L_b of pi_b(I), |pi_b(I)| = p^(L_b)
 (``linalg`` module docstring).  The rule: I = J iff in every block the
 lengths agree and each generator image pi_b(g) of I reduces to zero
@@ -89,8 +90,6 @@ from .groupring import (
 )
 from .linalg import (
     CoeffMatrix,
-    Echelon,
-    echelon,
     echelon_span_rows,
     howell_span_rows,
     residue_dtype,
@@ -267,30 +266,31 @@ class Ideal:
                     split = _Split((), (), ((),), spec)
                     rows, = self._block_forms(split, self._generator_images(split),
                                               howell_span_rows)
-                    self._canonical = CoeffMatrix(spec.p, spec.k, spec.size, tuple(rows))
+                    self._canonical = CoeffMatrix(spec.p, spec.k, spec.size, rows)
         return self._canonical
 
     @property
-    def key(self) -> tuple[Echelon, ...]:
-        """An echelon form with the Howell property of each CRT block, in
-        block order; ``ideal_equal`` and ``contains`` decide on it.  On a
-        spec without a split axis whose canonical form is already known, that
-        form, since a Howell form is an echelon form."""
+    def key(self) -> tuple[CoeffMatrix, ...]:
+        """Per CRT block in order, a ``CoeffMatrix`` of an echelon form
+        with the Howell property (not unique: keys of equal ideals may
+        differ entrywise); ``ideal_equal`` and ``contains`` decide on it.
+        On a spec without a split axis, ``(self._canonical,)`` once that
+        Howell form is known."""
         if self._key is None:
             with self._lock:
                 if self._key is None:
                     spec, split = self.spec, _split(self.spec)
                     images = self._generator_images(split)
-                    if not split.axes and self._canonical is not None:
-                        forms = [self._canonical.rows]
-                    else:
-                        forms = self._block_forms(split, images, echelon_span_rows)
                     widths = [_block_width(split, block) for block in split.blocks]
                     self._key_generators = tuple(
                         np.array([img.reshape(-1) for img in imgs], split.rest.dtype())
                         .reshape(-1, n) for imgs, n in zip(images, widths))
-                    self._key = tuple(echelon(spec.p, spec.k, n, rows)
-                                      for rows, n in zip(forms, widths))
+                    if not split.axes and self._canonical is not None:
+                        self._key = (self._canonical,)
+                    else:
+                        self._key = tuple(
+                            CoeffMatrix(spec.p, spec.k, n, rows) for rows, n in
+                            zip(self._block_forms(split, images, echelon_span_rows), widths))
         return self._key
 
     def _generator_images(self, split: _Split) -> list[list[np.ndarray]]:

@@ -48,6 +48,11 @@ span E = M).  Two consequences:
   pivot.  Two spans are equal iff they have the same length and one lies
   in the other.
 
+``CoeffMatrix`` is the one type for these forms, Howell or echelon: one
+read-only array of residues, from which it derives the pivot columns and
+the length L.  It is an ``ArrayValue``, the base of every frozen dataclass
+of the library that holds arrays: equal by content, never hashed.
+
 A product sums at most ``width`` terms, each below (mod - 1)^2.  One policy
 (``residue_dtype`` for stored residues, ``_arithmetic`` for the kernel)
 picks where that arithmetic is exact.  The first two tiers and the last
@@ -79,7 +84,8 @@ time (``HowellBuilder`` in ``tests/referees.py``).
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -123,14 +129,43 @@ def _arithmetic(mod: int):
     return object, OBJECT_PANEL
 
 
-@dataclass(frozen=True)
-class CoeffMatrix:
-    """Matrix over Z/p^k with entries stored as machine residues."""
+class ArrayValue:
+    """Base of the frozen dataclasses that hold arrays: equal when of one
+    type with equal fields (arrays by ``np.array_equal``, so int64 and
+    object arrays with equal entries are equal; tuples element by
+    element), and unhashable.  Subclasses declare ``eq=False``, else the
+    dataclass decorator replaces ``__eq__`` and adds a field hash, and make
+    their arrays read-only when they are built."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def _equal(a, b) -> bool:
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+@dataclass(frozen=True, eq=False)
+class CoeffMatrix(ArrayValue):
+    """Matrix over Z/p^k as one read-only (nrows, ncols) array in
+    ``residue_dtype(p^k)``, from a 2-d array or rows of Python ints of any
+    size.  It holds Howell forms and echelon forms with the Howell
+    property; for those, ``cols`` is each row's pivot column and the span
+    has p^``length`` elements.  Equality is entrywise, and echelon forms
+    are not unique."""
 
     p: int
     k: int
     ncols: int
-    rows: tuple = ()
+    rows: np.ndarray = ()
 
     def __post_init__(self):
         if not _is_prime(self.p):
@@ -139,16 +174,14 @@ class CoeffMatrix:
             raise ValueError("k must be positive")
         if self.p**self.k >= 2**128:
             raise ValueError("p^k must fit in a 128-bit word")
-        mod = self.p**self.k
-        dtype = residue_dtype(mod)
-        normalized = []
-        for row in self.rows:
-            arr = np.asarray(row, dtype=dtype) % mod
-            if arr.shape != (self.ncols,):
-                raise ValueError("row length does not match ncols")
-            arr.setflags(write=False)
-            normalized.append(arr)
-        object.__setattr__(self, "rows", tuple(normalized))
+        rows = np.array(self.rows, dtype=residue_dtype(self.modulus))
+        if rows.shape == (0,):
+            rows = rows.reshape(0, self.ncols)
+        if rows.ndim != 2 or rows.shape[1] != self.ncols:
+            raise ValueError("row length does not match ncols")
+        rows %= self.modulus
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     @property
     def modulus(self) -> int:
@@ -158,16 +191,20 @@ class CoeffMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def __eq__(self, other):
-        if not isinstance(other, CoeffMatrix):
-            return NotImplemented
-        return (
-            (self.p, self.k, self.ncols) == (other.p, other.k, other.ncols)
-            and self.nrows == other.nrows
-            and all(np.array_equal(a, b) for a, b in zip(self.rows, other.rows))
-        )
+    @cached_property
+    def cols(self) -> np.ndarray:
+        """The column of each row's first non-zero entry."""
+        cols = np.argmax(self.rows != 0, axis=1)
+        cols.flags.writeable = False
+        return cols
 
-    __hash__ = None
+    @cached_property
+    def length(self) -> int:
+        """The sum of k - e over the pivots p^e of echelon rows."""
+        pivots = self.rows[np.arange(self.nrows), self.cols]
+        # sum e = the number of (row, j) with p^j | p^e, 1 <= j < k
+        es = sum(int(np.count_nonzero(pivots % self.p**j == 0)) for j in range(1, self.k))
+        return self.k * self.nrows - es
 
 
 class _Ops(NamedTuple):
@@ -357,31 +394,9 @@ def echelon_span_rows(p: int, k: int, ncols: int, mat) -> list[np.ndarray]:
         _ECHELON_ONLY.reset(token)
 
 
-class Echelon(NamedTuple):
-    """Echelon rows over Z/p^k with the Howell property and pivots p^e:
-    the rows of ``echelon_span_rows`` or of a Howell form."""
-
-    p: int
-    k: int
-    rows: np.ndarray  # (r, ncols) in residue_dtype(p^k), in pivot order
-    cols: np.ndarray  # the pivot column of each row
-    length: int  # the span has p^length elements
-
-
-def echelon(p: int, k: int, ncols: int, rows) -> Echelon:
-    """``rows``, echelon with pivots p^e and the Howell property, as an
-    ``Echelon``: its length is the sum of k - e over the pivots."""
-    mod = p**k
-    H = np.array(rows, dtype=residue_dtype(mod)).reshape(-1, ncols)
-    cols = np.argmax(H != 0, axis=1)
-    pivots = H[np.arange(len(H)), cols]
-    # sum e = the number of (row, j) with p^j | p^e, 1 <= j < k
-    es = sum(int(np.count_nonzero(pivots % p**j == 0)) for j in range(1, k))
-    return Echelon(p, k, H, cols, k * len(H) - es)
-
-
-def spans(E: Echelon, vectors) -> bool:
-    """True iff every row of ``vectors`` reduces to zero against E.
+def spans(E: CoeffMatrix, vectors) -> bool:
+    """True iff every row of ``vectors`` reduces to zero against E, echelon
+    rows with pivots p^e and the Howell property.
 
     All rows are reduced at once, one block of ``width`` pivots at a time
     as in back-substitution: a pivot's quotients are the vectors' entries
@@ -427,8 +442,7 @@ def spans(E: Echelon, vectors) -> bool:
 
 def howell_form(A: CoeffMatrix) -> CoeffMatrix:
     """The unique Howell normal form of the row span of A (zero rows removed)."""
-    mat = np.array(A.rows, dtype=residue_dtype(A.modulus)).reshape(A.nrows, A.ncols)
-    return CoeffMatrix(A.p, A.k, A.ncols, tuple(howell_span_rows(A.p, A.k, A.ncols, mat)))
+    return CoeffMatrix(A.p, A.k, A.ncols, howell_span_rows(A.p, A.k, A.ncols, A.rows))
 
 
 def same_span(A: CoeffMatrix, B: CoeffMatrix) -> bool:
@@ -443,5 +457,4 @@ def member(v, A: CoeffMatrix) -> bool:
     vec = np.asarray(v)
     if vec.shape != (A.ncols,):
         raise ValueError("vector length does not match ncols")
-    H = howell_form(A)
-    return spans(echelon(H.p, H.k, H.ncols, H.rows), vec[None])
+    return spans(howell_form(A), vec[None])

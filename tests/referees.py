@@ -47,7 +47,6 @@ from iwafit.ideals import (
 )
 from iwafit.linalg import (
     CoeffMatrix,
-    Echelon,
     _arithmetic,
     _back_substitute,
     _ops,
@@ -287,7 +286,7 @@ def stacked_key(I: Ideal) -> tuple[CoeffMatrix, ...]:
     return tuple(forms)
 
 
-def back_substituted(E: Echelon) -> CoeffMatrix:
+def back_substituted(E: CoeffMatrix) -> CoeffMatrix:
     """The rows of E reduced above every pivot by the kernel's
     back-substitution: the Howell form of their span."""
     mod = E.p**E.k

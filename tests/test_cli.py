@@ -300,3 +300,14 @@ def test_euler_data_path_may_contain_spaces(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["--assume-nzd", "euler", str(path)]) == 0
     assert json.loads(capsys.readouterr().out.strip())["verdict"] == "equal"
+
+
+def test_euler_data_path_may_contain_a_hash(tmp_path, capsys):
+    data = {"p": 3, "k": 3, "N": 4, "inertia_orders": [3], "m_v": 2, "q": 2,
+            "frobenius": {"delta_exponents": [0, 1], "gamma_exponent": 1}}
+    folder = tmp_path / "a#b"
+    folder.mkdir()
+    path = folder / "e.json"
+    path.write_text(json.dumps(data))
+    assert main(["--assume-nzd", "euler", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["verdict"] == "equal"

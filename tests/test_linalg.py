@@ -22,7 +22,6 @@ from iwafit.linalg import (
     CoeffMatrix,
     _arithmetic,
     _ops,
-    echelon,
     echelon_span_rows,
     howell_form,
     howell_span_rows,
@@ -228,7 +227,7 @@ def test_echelon_stage_matches_builder(p, k, tier):
     def check(shape, seed):
         ncols, nrows = shape
         A = structured_rows(seed, p, k, nrows, ncols)
-        E = echelon(p, k, ncols, echelon_span_rows(p, k, ncols, A))
+        E = CoeffMatrix(p, k, ncols, echelon_span_rows(p, k, ncols, A))
         builder = HowellBuilder(p, k, ncols)
         for row in A:
             builder.insert(row)
@@ -303,6 +302,31 @@ def test_scalar_closure_property(rng):
         for row in H.rows:
             for c in (3, 9, 14):
                 assert member((c * row) % 27, H)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 70)])
+def test_coeff_matrix_rejects_wrong_width_rows(p, k):
+    for rows in [((1, 2), (3,)), ((1, 2, 3),), (1, 2), (((1, 2),),)]:
+        with pytest.raises(ValueError):
+            CoeffMatrix(p, k, 2, rows)
+    assert CoeffMatrix(p, k, 2, ()).rows.shape == (0, 2)
+    assert CoeffMatrix(p, k, 2, np.zeros((0, 2), dtype=np.int64)).rows.shape == (0, 2)
+
+
+@pytest.mark.parametrize("p,k,tier", ECHELON_TIERS)
+def test_pivot_columns_and_length_match_builder(p, k, tier):
+    """``cols`` and ``length`` of a Howell form and of an echelon form with
+    the Howell property are the builder's pivot columns and length."""
+    for seed in range(3):
+        ncols, nrows = 40, 60
+        A = structured_rows(seed, p, k, nrows, ncols)
+        builder = HowellBuilder(p, k, ncols)
+        for row in A:
+            builder.insert(row)
+        for form in (howell_span_rows, echelon_span_rows):
+            H = CoeffMatrix(p, k, ncols, form(p, k, ncols, A))
+            assert H.cols.tolist() == sorted(builder.pivots)
+            assert H.length == builder.length()
 
 
 def test_builder_rejects_bad_modulus():
