@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .errors import SpecMismatchError
-from .linalg import ArrayValue, _is_prime, residue_dtype
+from .linalg import ArrayValue, _is_prime, frozen, residue_dtype
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,9 @@ def _exponent_array(spec: GroupRingSpec) -> np.ndarray:
     """(size, s+d) array of the exponent tuple of every basis monomial."""
     radices = spec.radices
     if not radices:
-        return np.zeros((1, 0), dtype=np.int64)
+        return frozen(np.zeros((1, 0), dtype=np.int64))
     grids = np.indices(radices).reshape(len(radices), -1).T
-    return np.ascontiguousarray(grids, dtype=np.int64)
+    return frozen(np.ascontiguousarray(grids, dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +138,7 @@ def _mul_table(spec: GroupRingSpec) -> np.ndarray:
             drop |= tot >= r
         out += strides[axis] * tot
     out[drop] = B
-    return out
+    return frozen(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,8 +431,8 @@ def _twist_t_matrix(spec: GroupRingSpec, u: int) -> np.ndarray:
     """N x N matrix of the substitution T -> (u - 1) + u*T on T-power columns:
     T^b goes to sum_i C(b, i) u^i (u - 1)^(b - i) T^i."""
     N, mod = spec.N, spec.modulus
-    return np.array([[math.comb(b, i) * pow(u, i, mod) * pow(u - 1, b - i, mod) % mod
-                      if i <= b else 0 for b in range(N)] for i in range(N)], dtype=object)
+    return frozen(np.array([[math.comb(b, i) * pow(u, i, mod) * pow(u - 1, b - i, mod) % mod
+                             if i <= b else 0 for b in range(N)] for i in range(N)], dtype=object))
 
 
 def apply_hom(h: RingHom, x: RingElement) -> RingElement:
@@ -644,7 +644,7 @@ def power_residues(F, count: int, mod: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _zeta_powers(e: int, modulus: int) -> np.ndarray:
     """x^w mod (Phi_e(x), modulus) for w in range(e); shape (e, phi(e))."""
-    return power_residues(cyclotomic_poly(e), e, modulus)
+    return frozen(power_residues(cyclotomic_poly(e), e, modulus))
 
 
 @dataclass(frozen=True, eq=False)

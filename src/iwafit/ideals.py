@@ -91,6 +91,7 @@ from .groupring import (
 from .linalg import (
     CoeffMatrix,
     echelon_span_rows,
+    frozen,
     howell_span_rows,
     residue_dtype,
     spans,
@@ -150,7 +151,7 @@ def _split(spec: GroupRingSpec) -> _Split:
             offsets.append((off, len(F) - 1))
             off += len(F) - 1
         axes.append(axis)
-        crt.append(np.hstack([power_residues(F, m, spec.modulus) for F in factors]))
+        crt.append(frozen(np.hstack([power_residues(F, m, spec.modulus) for F in factors])))
         per_axis.append(offsets)
     rest = GroupRingSpec(spec.p, spec.k,
                          tuple(m for i, m in enumerate(spec.orders) if i not in axes),

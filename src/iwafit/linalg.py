@@ -6,18 +6,23 @@ modulo that pivot, and the row set closed under scalar multiplication.  Two
 matrices span the same submodule of (Z/p^k)^n iff their Howell forms are
 identical; the printers show it.
 
-``howell_span_rows`` is the one kernel that computes it, by blocked
-elimination with delayed updates (after Storjohann and Mulders, "Fast
-algorithms for linear algebra modulo N", 1998):
+``howell_span_rows`` is the one kernel that computes it, by the blocked
+elimination of Storjohann and Mulders ("Fast algorithms for linear
+algebra modulo N", 1998) in its left-looking, or Crout, form:
 
 - Elimination walks the columns in panels of at most ``PANEL`` columns.
-  Inside a panel, the panel columns are updated eagerly, on the rows whose
-  multiplier is non-zero, and the multipliers ``C`` and each pivot's
-  trailing part ``T`` are recorded.  A pivot row's trailing part is first
-  brought up to date from the panel's earlier pivots.  The rows p^(k-e)
-  times a pivot p^e, which keep the row set span-closed, enter the panel
-  as they arise.  At the end of the panel one matrix product ``Tr - C @ T``
-  updates the trailing columns, and pivot rows and zero rows are dropped.
+  A panel holds its rows ``A`` as they stood at its start, the
+  multipliers ``C`` and its finished pivot rows ``U``, full width from the
+  panel start; a row's current entries are its ``A`` row less its ``C``
+  row times ``U``.  A column is brought up to date only when elimination
+  reaches it, as ``red(A[:, j] - C @ U[:, j])``.  Its pivot is the first
+  row of least valuation p^e, and the pivot row, panel part and trailing
+  part at once, is ``red(red(A[r, j:] - C[r] @ U[:, j:]) * inv)``, inv
+  the inverse of the pivot's unit part; its multiples in the other rows
+  become a column of ``C``.  The rows p^(k-e) times a pivot, which keep
+  the row set span-closed, enter ``A`` as they arise.  At the end of the
+  panel one product ``A - C @ U`` brings the trailing columns up to date,
+  and pivot rows and zero rows are dropped.
 - Back-substitution reduces the entries above each pivot in blocks of the
   same width.  Within a block each pivot row is still in its state at the
   start of the block when it is used, so the block's reductions of all the
@@ -53,17 +58,19 @@ read-only array of residues, from which it derives the pivot columns and
 the length L.  It is an ``ArrayValue``, the base of every frozen dataclass
 of the library that holds arrays: equal by content, never hashed.
 
-A product sums at most ``width`` terms, each below (mod - 1)^2.  One policy
-(``residue_dtype`` for stored residues, ``_arithmetic`` for the kernel)
-picks where that arithmetic is exact.  The first two tiers and the last
-delay reduction: products are raw ``*`` and ``@``, reduced only when a sum
-is complete.
+Every sum the kernel reduces is one residue plus at most w residue
+products, each below (mod - 1)^2, for a panel or block of width w: a
+column or pivot row is a residue less one product over the panel's
+pivots, and so is a back-substitution step.  One policy (``residue_dtype``
+for stored residues, ``_arithmetic`` for the kernel) picks where that
+arithmetic is exact.  The first two tiers and the last delay reduction:
+products are raw ``*`` and ``@``, reduced only when a sum is complete.
 
-- float64 (BLAS products, reductions ``x - floor(x/mod)*mod``) while
-  ``PANEL*(mod-1)^2 + mod < 2^53``, so every partial sum is an integer that
-  float64 holds exactly;
+- float64 (BLAS products, reduced by one int64 cast and one ``%``) while
+  ``PANEL*(mod-1)^2 + mod < 2^53``, so every sum is an integer that
+  float64 holds exactly and the cast keeps it;
 - int64 for ``mod < 2^31`` (``mod^2 < 2^62``), with the panel cut to the
-  largest width whose products stay below 2^63;
+  largest width w with ``w*(mod-1)^2 + mod <= 2^63``;
 - exact int64 (``EXACT_INT64``) while ``PANEL^2*mod < 2^53``, that is
   2^31 <= mod < 2^41 (3^20 to 3^25): residues are int64 and every product
   is reduced at once.  A product S of width w <= PANEL (w = 1 for a
@@ -72,9 +79,8 @@ is complete.
   exactly.  The float error, below about w^2*mod^2*2^-53 < mod, puts
   ``q = floor(S_float/mod)`` within one of floor(S/mod), so the wrapped
   remainder ``S_int64 - q*mod`` lies in [-mod, 2mod), where int64 holds
-  it exactly, and a final ``% mod`` gives the residue.  Panel entries
-  still collect up to PANEL reduced products before they are reduced,
-  far below 2^63;
+  it exactly, and a final ``% mod`` gives the residue.  A sum is then a
+  residue less one reduced product, in (-mod, mod);
 - Python ints (dtype object) above that, in panels of ``OBJECT_PANEL``.
 
 The tests hold the kernel to a slow referee that inserts rows one at a
@@ -83,6 +89,7 @@ time (``HowellBuilder`` in ``tests/referees.py``).
 
 from __future__ import annotations
 
+import math
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -143,6 +150,12 @@ class ArrayValue:
         if type(other) is not type(self):
             return NotImplemented
         return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only in place: for arrays that are cached or shared."""
+    a.flags.writeable = False
+    return a
 
 
 def _equal(a, b) -> bool:
@@ -208,8 +221,8 @@ class CoeffMatrix(ArrayValue):
 
 
 class _Ops(NamedTuple):
-    """A tier's arithmetic: storage dtype, reduction into [0, mod),
-    elementwise product and matrix product."""
+    """A tier's arithmetic: storage dtype, reduction into [0, mod) (to
+    int64 in the float tier), elementwise product and matrix product."""
 
     dtype: type
     red: Callable
@@ -219,8 +232,8 @@ class _Ops(NamedTuple):
 
 def _ops(tier, mod: int) -> _Ops:
     if tier is np.float64:
-        fmod = float(mod)
-        return _Ops(tier, lambda x: x - np.floor(x / fmod) * fmod, np.multiply, np.matmul)
+        # Every sum is an exact integer below 2^53, so the cast is exact.
+        return _Ops(tier, lambda x: x.astype(np.int64, copy=False) % mod, np.multiply, np.matmul)
     if tier is EXACT_INT64:
         fmod = float(mod)
 
@@ -238,101 +251,87 @@ def _ops(tier, mod: int) -> _Ops:
 
 
 def _min_valuation(vals: np.ndarray, p: int, k: int) -> tuple[int, int]:
-    """(e, i): the least p-adic valuation among non-zero ``vals`` and the
-    first index attaining it."""
-    for e in range(k):
-        hit = np.flatnonzero(vals % p ** (e + 1))
-        if len(hit):
-            return e, int(hit[0])
-    raise AssertionError("a zero entry was taken for a non-zero one")
+    """(e, i): the least p-adic valuation among the non-zero residues
+    ``vals`` mod p^k and the first index attaining it."""
+    g = np.gcd(vals, p ** (k - 1))  # p^valuation, as every valuation is < k
+    i = int(np.argmin(g))
+    return round(math.log(int(g[i]), p)), i
 
 
-def _working_copy(mat, ncols: int, mod: int, tier, dtype):
+def _working_copy(mat, ncols: int, mod: int, tier, dtype, room: int = 0):
     """The non-zero rows of ``mat`` reduced mod ``mod``, in the kernel's
-    dtype.  Zero rows go before the conversion, and this is the only
-    full-size copy the kernel makes.  Python-int input to the exact int64
-    tier is narrowed only after the reduction."""
+    dtype, followed by ``room`` zero rows.  Zero rows go before the
+    conversion, and this is the only full-size copy the kernel makes.
+    Python-int input to the exact int64 tier is narrowed only after the
+    reduction."""
     A = np.asarray(mat)
     if not (A.dtype == object and tier in (object, EXACT_INT64)):
         A = A.astype(object if tier is object else np.int64, copy=False)
     if A.ndim != 2 or (A.size and A.shape[1] != ncols):
         raise ValueError("matrix shape does not match ncols")
     keep = np.flatnonzero(np.any(A, axis=1))
-    M = np.empty((len(keep), ncols), dtype=dtype)
+    M = np.zeros((len(keep) + room, ncols), dtype=dtype)
     for s in range(0, len(keep), _ROW_CHUNK):
-        M[s:s + _ROW_CHUNK] = A[keep[s:s + _ROW_CHUNK]] % mod
+        t = keep[s:s + _ROW_CHUNK]
+        M[s:s + len(t)] = A[t] % mod
     return M
 
 
 def _eliminate(M, p: int, k: int, width: int, ops: _Ops):
     """Echelon rows of the span of M, as (H, pivot columns, valuations).
 
-    Row i of H has its pivot p^e_i in column cols[i] and zeros left of it.
-    M is consumed panel by panel; see the module docstring.
+    M holds the working rows, then ``width`` zero rows of room for the
+    appended rows, and is consumed in place.  Column j, and a pivot row
+    from column j on, is its ``A`` part less ``C`` times the finished pivot
+    rows ``U`` (module docstring).  Row i of H has its pivot p^e_i in
+    column cols[i] and zeros left of it; ``U`` is a view of H's rows.
     """
     mod = p**k
-    dtype = M.dtype
     red, mul, dot = ops.red, ops.mul, ops.dot
     ncols = M.shape[1]
-    H = np.zeros((ncols, ncols), dtype=dtype)
+    n = len(M) - width
+    H = np.zeros((ncols, ncols), dtype=M.dtype)
     cols: list[int] = []
     es: list[int] = []
     c0 = 0
-    while c0 < ncols and len(M):
+    while c0 < ncols and n:
         w = min(width, ncols - c0)
-        n = len(M)
-        P = np.zeros((n + w, w), dtype=dtype)  # room for appended rows
-        P[:n] = M[:, :w]
-        Tr = M[:, w:]
-        Ta = np.zeros((w, ncols - c0 - w), dtype=dtype)  # appended rows' trailing parts
-        C = np.zeros((n + w, w), dtype=dtype)
-        T = np.zeros((w, ncols - c0 - w), dtype=dtype)
-        live = np.zeros(n + w, dtype=bool)
-        live[:n] = True
+        A = M[:n + w, c0:]  # a row's entries less C[row] @ U are its current ones
+        U = H[len(cols):len(cols) + w, c0:]  # the panel's finished pivot rows
+        C = np.zeros((n + w, w), dtype=M.dtype)
         appended = npiv = 0
         for j in range(w):
-            # Panel entries are reduced only when their column is reached:
-            # each took at most one product per pivot, so they stay exact.
-            colj = red(P[:, j])
-            nz = np.flatnonzero(colj)
+            col = red(A[:, j] - dot(C[:, :npiv], U[:npiv, j]))
+            nz = np.flatnonzero(col)
             if not len(nz):
                 continue
-            c = colj[nz]
+            c = col[nz]
             e, ri = _min_valuation(c, p, k)
             r = int(nz[ri])
             pe = p**e
             inv = pow(int(c[ri]) // pe, -1, mod)
-            prow = red(mul(red(P[r, j:]), inv))
-            trail = Tr[r] if r < n else Ta[r - n]
-            T[npiv] = red(mul(red(trail - dot(C[r, :npiv], T[:npiv])), inv))
-            H[len(cols), c0 + j:c0 + w] = prow
-            H[len(cols), c0 + w:] = T[npiv]
+            U[npiv, j:] = red(mul(red(A[r, j:] - dot(C[r, :npiv], U[:npiv, j:])), inv))
             cols.append(c0 + j)
             es.append(e)
             # e is minimal among the non-zero entries, so the division is exact.
-            c //= pe
-            c[ri] = 0
-            P[nz, j + 1:] -= mul(c[:, None], prow[1:])
-            C[nz, npiv] = c
-            P[r] = 0
-            live[r] = False
+            C[nz, npiv] = c // pe
+            A[r] = C[r] = 0
             if e > 0:
-                scale = p ** (k - e)
-                P[n + appended, j:] = red(mul(prow, scale))
-                Ta[appended] = red(mul(T[npiv], scale))
-                live[n + appended] = True
+                A[n + appended, j:] = red(mul(U[npiv, j:], p ** (k - e)))
                 appended += 1
             npiv += 1
-        if npiv:
-            rows = np.flatnonzero(live)
-            Tr = np.concatenate([Tr[rows[rows < n]], Ta[rows[rows >= n] - n]])
-            C = C[rows, :npiv]
-            touched = np.flatnonzero(np.any(C, axis=1))
-            for s in range(0, len(touched), _ROW_CHUNK):
-                t = touched[s:s + _ROW_CHUNK]
-                Tr[t] = red(Tr[t] - dot(C[t], T[:npiv]))
-        del M, P, C
-        M = Tr[np.any(Tr, axis=1)]
+        touched = np.flatnonzero(np.any(C[:, :npiv], axis=1))
+        for s in range(0, len(touched), _ROW_CHUNK):
+            t = touched[s:s + _ROW_CHUNK]
+            A[t, w:] = red(A[t, w:] - dot(C[t, :npiv], U[:npiv, w:]))
+        # Move the non-zero rows up (keep[i] >= i, so no chunk reads a row
+        # that an earlier one wrote) and clear the room below them.
+        keep = np.flatnonzero(np.any(A[:, w:], axis=1))
+        for s in range(0, len(keep), _ROW_CHUNK):
+            t = keep[s:s + _ROW_CHUNK]
+            M[s:s + len(t), c0 + w:] = A[t, w:]
+        n = len(keep)
+        M[n:n + width, c0 + w:] = 0
         c0 += w
     return H[:len(cols)], cols, es
 
@@ -365,18 +364,18 @@ def _back_substitute(H, cols: list[int], es: list[int], p: int, width: int, ops:
 def howell_span_rows(p: int, k: int, ncols: int, mat) -> list[np.ndarray]:
     """Howell normal form rows of the row span of a stacked matrix.
 
-    Blocked elimination, then blocked back-substitution, in the arithmetic
-    the module docstring describes: float64 or int64 with delayed
-    reduction below 2^31, exact int64 with every product reduced from 2^31
-    to 2^41, Python ints above.  Rows come back in pivot order, as int64
-    for moduli below 2^31 and as Python ints (object) above, whatever the
-    tier.  Inside ``echelon_span_rows`` the call stops before
-    back-substitution.
+    Left-looking blocked elimination, then blocked back-substitution
+    (module docstring), each sum one residue plus at most a panel's width
+    of residue products: float64 or int64 with delayed reduction below
+    2^31, exact int64 with every product reduced from 2^31 to 2^41, Python
+    ints above.  Rows come back in pivot order, as int64 for moduli below
+    2^31 and as Python ints (object) above, whatever the tier.  Inside
+    ``echelon_span_rows`` the call stops before back-substitution.
     """
     mod = p**k
     tier, width = _arithmetic(mod)
     ops = _ops(tier, mod)
-    H, cols, es = _eliminate(_working_copy(mat, ncols, mod, tier, ops.dtype), p, k, width, ops)
+    H, cols, es = _eliminate(_working_copy(mat, ncols, mod, tier, ops.dtype, width), p, k, width, ops)
     if not _ECHELON_ONLY.get():
         _back_substitute(H, cols, es, p, width, ops)
     return [row for row in H.astype(residue_dtype(mod), copy=False)]

@@ -65,6 +65,7 @@ from .groupring import (
     one,
     tvar,
 )
+from .linalg import frozen
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^(),]))"
@@ -115,15 +116,15 @@ def _tables(spec: GroupRingSpec) -> _Tables:
     to_tau, from_tau = [], []
     for m in spec.orders:
         # delta^a = sum_e C(a, e) tau^e and tau^e = sum_a C(e, a) (-1)^(e-a) delta^a
-        to_tau.append(np.array([[comb(a, e) % mod for a in range(m)]
-                                for e in range(m)], dtype=object))
-        from_tau.append(np.array([[(-comb(e, a) if (e - a) % 2 else comb(e, a)) % mod
-                                   for e in range(m)] for a in range(m)], dtype=object))
+        to_tau.append(frozen(np.array([[comb(a, e) % mod for a in range(m)]
+                                       for e in range(m)], dtype=object)))
+        from_tau.append(frozen(np.array([[(-comb(e, a) if (e - a) % 2 else comb(e, a)) % mod
+                                          for e in range(m)] for a in range(m)], dtype=object)))
     exps = _exponent_array(spec)
-    degree = exps.sum(axis=1)
+    degree = frozen(exps.sum(axis=1))
     # A stable sort keeps equal degrees in flat order, which is the
     # lexicographic order of the exponent tuples.
-    order = np.argsort(degree, kind="stable")
+    order = frozen(np.argsort(degree, kind="stable"))
     letters = [f"tau{i}" for i in range(1, spec.s + 1)] + \
               [f"t{j}" for j in range(1, spec.d + 1)]
     factors = tuple(

@@ -21,6 +21,7 @@ from iwafit.linalg import (
     PANEL,
     CoeffMatrix,
     _arithmetic,
+    _min_valuation,
     _ops,
     echelon_span_rows,
     howell_form,
@@ -274,6 +275,54 @@ def test_exact_int64_products(mod):
     ]:
         assert got.dtype == np.int64
         assert [int(x) for x in got.ravel()] == [int(x) for x in want.ravel()]
+
+
+@pytest.mark.parametrize("p,tier", [(11863279, np.float64), (2147483647, np.int64)])
+def test_kernel_near_mod_at_tier_bounds(p, tier):
+    # At the float bound and at 2^31 - 1 (panels of 2 columns), entries
+    # drawn within 4 of mod - 1 take the sums nearest to their tier's bound.
+    assert _arithmetic(p)[0] is tier
+    rnd = random.Random(p)
+    nrows, ncols = 120, 100
+    A = np.array([[p - 1 - rnd.randrange(4) if rnd.random() < 0.5 else rnd.randrange(p)
+                   for _ in range(ncols)] for _ in range(nrows)], dtype=np.int64)
+    assert CoeffMatrix(p, 1, ncols, tuple(howell_span_rows(p, 1, ncols, A))) == builder_form(p, 1, ncols, A)
+
+
+def first_least_valuation(vals, p, k):
+    """The loop ``_min_valuation`` replaced: the first index of each
+    valuation e = 0, 1, ... in turn."""
+    for e in range(k):
+        hit = [i for i, v in enumerate(vals) if v % p ** (e + 1)]
+        if hit:
+            return e, hit[0]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("p,k", [(3, 4), (2, 1), (5, 3)])
+def test_min_valuation_takes_the_first_least(p, k, dtype):
+    mod = p**k
+    top = p ** (k - 1)
+    rnd = random.Random(mod)
+    cases = [[p ** rnd.randrange(k) * rnd.choice([1, mod - 1, 1 + p * rnd.randrange(top)]) % mod
+              for _ in range(rnd.randint(1, 8))] for _ in range(50)]
+    if (p, k) == (3, 4):
+        # valuation k - 1 alone and tied, ties at a lower valuation, a unit
+        cases += [[27], [54, 27], [54, 9, 18, 27], [27, 80, 1]]
+    for vals in cases:
+        got = _min_valuation(np.array(vals, dtype=dtype), p, k)
+        assert got == first_least_valuation(vals, p, k)
+        assert all(type(x) is int for x in got)
+    if (p, k) == (3, 4):
+        assert [_min_valuation(np.array(v, dtype=dtype), p, k) for v in cases[-4:]] == \
+            [(3, 0), (3, 0), (2, 1), (0, 1)]
+
+
+def test_min_valuation_of_python_ints():
+    p, k = 3, 70
+    vals = np.array([3**69, 2 * 3**69, 5 * 3**40, 3**40, 7 * 3**41], dtype=object)
+    assert _min_valuation(vals, p, k) == (40, 2)
+    assert _min_valuation(vals[:2], p, k) == (69, 0)
 
 
 def test_exact_tier_reduces_wide_input_first():

@@ -18,6 +18,7 @@ from iwafit import (
     GroupRingSpec,
     apply_hom,
     char_eval,
+    delta,
     from_vector,
     make_element,
     mul,
@@ -25,6 +26,7 @@ from iwafit import (
     tvar,
     twist_hom,
 )
+from iwafit import groupring, ideals, parser
 from iwafit.complexes import RingMatrix, matrix_from_rows
 from iwafit.groupring import Character, CyclotomicElement, RingElement, RingHom
 from iwafit.linalg import CoeffMatrix
@@ -141,6 +143,32 @@ def test_passed_arrays_become_read_only():
     assert not A.rows.flags.writeable and not A.cols.flags.writeable
     z = CyclotomicElement(9, 3, np.zeros((2, 3), dtype=np.int64))
     assert not z.coeffs.flags.writeable
+
+
+def test_cached_tables_are_read_only():
+    """Every later call on a spec shares its lru_cached tables, so one
+    write into them would corrupt every later product."""
+    split_spec = GroupRingSpec(3, 2, (4,), 1, 2)  # x^4 - 1 splits mod 3
+    tables = parser._tables(SPEC)
+    cached = [
+        groupring._exponent_array(SPEC),
+        groupring._mul_table(SPEC),
+        groupring._zeta_powers(4, 9),
+        groupring._twist_t_matrix(SPEC, 4),
+        *tables.to_tau,
+        *tables.from_tau,
+        tables.order,
+        tables.degree,
+        *ideals._split(split_spec).crt,
+    ]
+    assert len(ideals._split(split_spec).crt) == 1
+    for a in cached:
+        first = (0,) * a.ndim
+        with pytest.raises(ValueError):
+            a[first] = a[first]
+    with pytest.raises(ValueError):
+        groupring._mul_table(SPEC)[3, 3] = 0
+    assert mul(delta(SPEC, 1), delta(SPEC, 1)) == make_element(SPEC, {(2, 0): 1})
 
 
 def test_int64_and_object_arrays_compare_by_entries():
