@@ -86,37 +86,23 @@ def element_texts_sorted(elems) -> list[str]:
     return [text for _, text in keyed]
 
 
-def _split_top_level(src: str, seps=",") -> list[str]:
+def _split_top_level(src: str, seps=None) -> list[str]:
+    """Split ``src`` outside brackets: at the characters of ``seps``, each
+    part stripped, or, when ``seps`` is None, at whitespace with the empty
+    parts dropped, like ``str.split()``."""
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(src):
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        elif ch in seps and depth == 0:
+        elif depth == 0 and (ch.isspace() if seps is None else ch in seps):
             parts.append(src[start:i])
             start = i + 1
     parts.append(src[start:])
+    if seps is None:
+        return [p for p in parts if p]
     return [p.strip() for p in parts]
-
-
-def _split_args(src: str) -> list[str]:
-    """Split a command tail into arguments, respecting bracket nesting."""
-    args, depth, cur = [], 0, []
-    for ch in src:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch.isspace() and depth == 0:
-            if cur:
-                args.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        args.append("".join(cur))
-    return args
 
 
 def _parse_expression(src: str, session: Session) -> RingElement:
@@ -152,13 +138,12 @@ def parse_value(src: str, session: Session):
     if src.startswith("[["):
         if not src.endswith("]]"):
             raise UsageError("matrix literal must look like [[a, b], [c, d]]")
-        rows_src = _split_top_level(src[1:-1])
+        rows_src = _split_top_level(src[1:-1], ",")
         rows = []
         for r in rows_src:
-            r = r.strip()
             if not (r.startswith("[") and r.endswith("]")):
                 raise UsageError("matrix rows must be bracketed")
-            rows.append([_parse_entry(e, session) for e in _split_top_level(r[1:-1])])
+            rows.append([_parse_entry(e, session) for e in _split_top_level(r[1:-1], ",")])
         if len({len(r) for r in rows}) > 1:
             raise UsageError("matrix rows have unequal lengths")
         return matrix_from_rows(spec, rows)
@@ -175,7 +160,7 @@ def parse_value(src: str, session: Session):
             raise UsageError(f"unbalanced parenthesis in ideal literal {src!r}")
         inner = src[1:close]
         rest = src[close + 1:].strip()
-        gens = [_parse_entry(g, session) for g in _split_top_level(inner)]
+        gens = [_parse_entry(g, session) for g in _split_top_level(inner, ",")]
         if not rest:
             # A single parenthesized expression still denotes the ideal it
             # generates; commands that need an element parse directly.
@@ -221,7 +206,7 @@ def run_command(line: str, session: Session) -> dict:
         "certified_precision": None,
         "canonical_generators": None,
     }
-    words = _split_args(line.strip())
+    words = _split_top_level(line)
     if not words:
         raise UsageError("empty command")
     cmd, args = words[0], words[1:]

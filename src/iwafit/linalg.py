@@ -8,25 +8,33 @@ identical; the printers show it.
 
 ``howell_span_rows`` is the one kernel that computes it, by the blocked
 elimination of Storjohann and Mulders ("Fast algorithms for linear
-algebra modulo N", 1998) in its left-looking, or Crout, form:
+algebra modulo N", 1998) in its left-looking, or Crout, form, followed by
+back-substitution.
 
-- Elimination walks the columns in panels of at most ``PANEL`` columns.
-  A panel holds its rows ``A`` as they stood at its start, the
-  multipliers ``C`` and its finished pivot rows ``U``, full width from the
-  panel start; a row's current entries are its ``A`` row less its ``C``
-  row times ``U``.  A column is brought up to date only when elimination
-  reaches it, as ``red(A[:, j] - C @ U[:, j])``.  Its pivot is the first
-  row of least valuation p^e, and the pivot row, panel part and trailing
-  part at once, is ``red(red(A[r, j:] - C[r] @ U[:, j:]) * inv)``, inv
-  the inverse of the pivot's unit part; its multiples in the other rows
-  become a column of ``C``.  The rows p^(k-e) times a pivot, which keep
-  the row set span-closed, enter ``A`` as they arise.  At the end of the
-  panel one product ``A - C @ U`` brings the trailing columns up to date,
-  and pivot rows and zero rows are dropped.
-- Back-substitution reduces the entries above each pivot in blocks of the
-  same width.  Within a block each pivot row is still in its state at the
-  start of the block when it is used, so the block's reductions of all the
-  rows above are one product ``Q @ H_block``.
+Elimination walks the columns in panels of at most ``PANEL`` columns.  A
+panel holds its rows ``A`` as they stood at its start, the multipliers
+``C`` and its finished pivot rows ``U``, full width from the panel start;
+a row's current entries are its ``A`` row less its ``C`` row times ``U``.
+A column is brought up to date only when elimination reaches it, as
+``red(A[:, j] - C @ U[:, j])``.  Its pivot is the first row of least
+valuation p^e, and the pivot row, panel part and trailing part at once,
+is ``red(red(A[r, j:] - C[r] @ U[:, j:]) * inv)``, inv the inverse of the
+pivot's unit part; its multiples in the other rows become a column of
+``C``.  The rows p^(k-e) times a pivot, which keep the row set
+span-closed, enter ``A`` as they arise.  At the end of the panel one
+product ``A - C @ U`` brings the trailing columns up to date, and pivot
+rows and zero rows are dropped.
+
+One routine, ``_reduce``, reduces target rows against echelon rows H with
+pivots p^e (Howell, "Spans in the module (Z_m)^s", 1986), one block of
+the same width at a time.  The quotients of the block's t-th pivot are
+left-looking too, ``red(S[:, t] - Q[:, :t] @ Hbc[:t, t]) // pivot``: S
+holds the targets' entries in the block's pivot columns at the block
+start, Q the block's quotients so far and Hbc the block rows' entries in
+those columns.  The block then takes one product ``Q @ H_block``, and
+every entry in the column of a pivot p^e ends in [0, p^e).
+Back-substitution is the call whose targets are the rows of H above each
+pivot.
 
 Comparisons need less.  ``echelon_span_rows`` is the same kernel call
 stopped before back-substitution, and its rows E already have the Howell
@@ -41,11 +49,12 @@ the rows of E with pivot >= c span what the rows of H with pivot >= c
 span, which is M_c because H has the Howell property (c = 0 gives
 span E = M).  Two consequences:
 
-- Membership (``spans``).  Reduce a vector v against the rows in pivot
-  order.  If v lies in M and vanishes left of a pivot column c, it lies in
-  M_c, so its entry at c is a multiple of the pivot there and subtracting
-  that multiple of the row leaves a vector of M that vanishes up to c.  So
-  v lies in M iff no division fails and the reduction ends at zero.
+- Membership (``spans``).  ``_reduce`` takes a vector v to a remainder r
+  with v - r in M, so r = 0 puts v in M.  If v lies in M and vanishes
+  left of a pivot column c, it lies in M_c, so its entry at c is a
+  multiple of the pivot there: the floor quotient is exact and the step
+  leaves a vector of M that vanishes up to c, so r = 0.  Hence v lies in
+  M iff it reduces to zero.
 - Length.  v -> v[c] maps M_c onto p^e * Z/p^k when c holds a pivot p^e
   (its row is the only one of M_c not zero at c) and onto 0 otherwise, with
   kernel M_(c+1).  So |M| = p^L with L = sum (k - e) over the pivots; the
@@ -61,9 +70,9 @@ of the library that holds arrays: equal by content, never hashed.
 Every sum the kernel reduces is one residue plus at most w residue
 products, each below (mod - 1)^2, for a panel or block of width w: a
 column or pivot row is a residue less one product over the panel's
-pivots, and so is a back-substitution step.  One policy (``residue_dtype``
-for stored residues, ``_arithmetic`` for the kernel) picks where that
-arithmetic is exact.  The first two tiers and the last delay reduction:
+pivots, and so is a quotient or a block product of ``_reduce``.  One
+policy (``residue_dtype`` for stored residues, ``_arithmetic`` for the
+kernel) picks where that arithmetic is exact.  The first two tiers and the last delay reduction:
 products are raw ``*`` and ``@``, reduced only when a sum is complete.
 
 - float64 (BLAS products, reduced by one int64 cast and one ``%``) while
@@ -278,7 +287,7 @@ def _working_copy(mat, ncols: int, mod: int, tier, dtype, room: int = 0):
 
 
 def _eliminate(M, p: int, k: int, width: int, ops: _Ops):
-    """Echelon rows of the span of M, as (H, pivot columns, valuations).
+    """Echelon rows of the span of M, as (H, pivot columns).
 
     M holds the working rows, then ``width`` zero rows of room for the
     appended rows, and is consumed in place.  Column j, and a pivot row
@@ -292,7 +301,6 @@ def _eliminate(M, p: int, k: int, width: int, ops: _Ops):
     n = len(M) - width
     H = np.zeros((ncols, ncols), dtype=M.dtype)
     cols: list[int] = []
-    es: list[int] = []
     c0 = 0
     while c0 < ncols and n:
         w = min(width, ncols - c0)
@@ -312,7 +320,6 @@ def _eliminate(M, p: int, k: int, width: int, ops: _Ops):
             inv = pow(int(c[ri]) // pe, -1, mod)
             U[npiv, j:] = red(mul(red(A[r, j:] - dot(C[r, :npiv], U[:npiv, j:])), inv))
             cols.append(c0 + j)
-            es.append(e)
             # e is minimal among the non-zero entries, so the division is exact.
             C[nz, npiv] = c // pe
             A[r] = C[r] = 0
@@ -333,51 +340,50 @@ def _eliminate(M, p: int, k: int, width: int, ops: _Ops):
         n = len(keep)
         M[n:n + width, c0 + w:] = 0
         c0 += w
-    return H[:len(cols)], cols, es
+    return H[:len(cols)], np.array(cols, dtype=np.intp)
 
 
-def _back_substitute(H, cols: list[int], es: list[int], p: int, width: int, ops: _Ops):
-    """Reduce every entry above a pivot p^e into [0, p^e), in place."""
-    red, mul, dot = ops.red, ops.mul, ops.dot
-    cols = np.asarray(cols)
+def _reduce(T, H, cols, width: int, ops: _Ops, above: bool = False):
+    """Reduce the rows of T against the echelon rows H, in place, so that
+    every entry in the column of a pivot p^e lies in [0, p^e).  With
+    ``above``, T is H and each row is reduced by the rows below it only:
+    back-substitution.  One block of ``width`` pivots at a time (module
+    docstring)."""
+    red, dot = ops.red, ops.dot
     for i0 in range(0, len(H), width):
         i1 = min(i0 + width, len(H))
         block = cols[i0:i1]
         b0 = int(block[0])
-        Hb = H[i0:i1, b0:].copy()
+        Hb = H[i0:i1, b0:]
         Hbc = Hb[:, block - b0]
-        # The entries of rows [0, i1) in the block's pivot columns, kept up
-        # to date step by step; they decide the quotients.
-        S = H[:i1][:, block]
-        Q = np.zeros((i1, i1 - i0), dtype=H.dtype)
-        for t in range(i1 - i0):
-            q = red(S[:i0 + t, t]) // p ** es[i0 + t]
-            nz = np.flatnonzero(q)
-            if len(nz):
-                Q[nz, t] = q[nz]
-                S[nz, t + 1:] -= mul(q[nz, None], Hbc[t, t + 1:])
+        R = T[:i1] if above else T
+        # The entries of the target rows in the block's pivot columns at the
+        # start of the block, and the quotients of its pivots.
+        S = R[:, block]
+        Q = np.zeros((len(R), i1 - i0), dtype=T.dtype)
+        for t, pivot in enumerate(Hbc.diagonal().tolist()):
+            n = i0 + t if above else len(R)
+            q = red(S[:n, t] - dot(Q[:n, :t], Hbc[:t, t]))
+            Q[:n, t] = q if pivot == 1 else q // pivot
         touched = np.flatnonzero(np.any(Q, axis=1))
-        if len(touched):
-            H[touched, b0:] = red(H[touched, b0:] - dot(Q[touched], Hb))
+        R[touched, b0:] = red(R[touched, b0:] - dot(Q[touched], Hb))
 
 
 def howell_span_rows(p: int, k: int, ncols: int, mat) -> list[np.ndarray]:
     """Howell normal form rows of the row span of a stacked matrix.
 
-    Left-looking blocked elimination, then blocked back-substitution
-    (module docstring), each sum one residue plus at most a panel's width
-    of residue products: float64 or int64 with delayed reduction below
-    2^31, exact int64 with every product reduced from 2^31 to 2^41, Python
-    ints above.  Rows come back in pivot order, as int64 for moduli below
-    2^31 and as Python ints (object) above, whatever the tier.  Inside
+    Left-looking blocked elimination, then back-substitution by
+    ``_reduce``, in the tier that ``_arithmetic`` picks (module docstring).
+    Rows come back in pivot order, as int64 for moduli below 2^31 and as
+    Python ints (object) above, whatever the tier.  Inside
     ``echelon_span_rows`` the call stops before back-substitution.
     """
     mod = p**k
     tier, width = _arithmetic(mod)
     ops = _ops(tier, mod)
-    H, cols, es = _eliminate(_working_copy(mat, ncols, mod, tier, ops.dtype, width), p, k, width, ops)
+    H, cols = _eliminate(_working_copy(mat, ncols, mod, tier, ops.dtype, width), p, k, width, ops)
     if not _ECHELON_ONLY.get():
-        _back_substitute(H, cols, es, p, width, ops)
+        _reduce(H, H, cols, width, ops, above=True)
     return [row for row in H.astype(residue_dtype(mod), copy=False)]
 
 
@@ -394,48 +400,16 @@ def echelon_span_rows(p: int, k: int, ncols: int, mat) -> list[np.ndarray]:
 
 
 def spans(E: CoeffMatrix, vectors) -> bool:
-    """True iff every row of ``vectors`` reduces to zero against E, echelon
-    rows with pivots p^e and the Howell property.
-
-    All rows are reduced at once, one block of ``width`` pivots at a time
-    as in back-substitution: a pivot's quotients are the vectors' entries
-    in its column, less the block's earlier quotients times their rows'
-    entries there, divided by the pivot; the block's reduction of the whole
-    vectors is then one product.  The loop stops at the first division that
-    fails.
-    """
-    p, k, H, cols = E.p, E.k, E.rows, E.cols
-    mod = p**k
+    """True iff every row of ``vectors`` lies in the span of E, echelon
+    rows with pivots p^e and the Howell property, that is iff ``_reduce``
+    takes every row to zero (module docstring)."""
+    mod = E.p**E.k
     tier, width = _arithmetic(mod)
     # The float tier's sums stay below 2^53, so int64 holds them too, and
     # reduces them with one ``%``.
     ops = _ops(np.int64 if tier is np.float64 else tier, mod)
-    dot = ops.dot
-    V = _working_copy(vectors, H.shape[1], mod, tier, ops.dtype)
-    if not len(V):
-        return True
-    H = H.astype(V.dtype, copy=False)
-    pivots = [int(x) for x in E.rows[np.arange(len(H)), cols]]
-    for i0 in range(0, len(H), width):
-        i1 = min(i0 + width, len(H))
-        block = cols[i0:i1]
-        b0 = int(block[0])
-        Hb = H[i0:i1, b0:]
-        Hbc = Hb[:, block - b0]
-        S = V[:, block]
-        Q = np.zeros((len(V), i1 - i0), dtype=V.dtype)
-        for t in range(i1 - i0):
-            x = (S[:, t] - dot(Q[:, :t], Hbc[:t, t])) % mod
-            xs = x.tolist()
-            if not any(xs):
-                continue
-            pe = pivots[i0 + t]
-            if pe != 1:
-                if any(v % pe for v in xs):
-                    return False
-                x //= pe
-            Q[:, t] = x
-        V[:, b0:] = (V[:, b0:] - dot(Q, Hb)) % mod
+    V = _working_copy(vectors, E.ncols, mod, tier, ops.dtype)
+    _reduce(V, E.rows.astype(V.dtype, copy=False), E.cols, width, ops)
     return not V.any()
 
 

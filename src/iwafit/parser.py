@@ -47,6 +47,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -107,7 +108,7 @@ class _Tables(NamedTuple):
     order: np.ndarray  # flat monomial indices in print order
     factors: tuple[str, ...]  # per flat index: "tau1^2*t1", "" for 1
     degree: np.ndarray  # per flat index: total degree
-    names: dict  # "tau1", "tau_1", "t1" -> (axis, stride, radix, is_tau)
+    names: MappingProxyType  # "tau1", "tau_1", "t1" -> (axis, stride, radix, is_tau)
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +140,7 @@ def _tables(spec: GroupRingSpec) -> _Tables:
         names[name] = (axis, stride, radix, is_tau)
         if is_tau:
             names[f"tau_{axis + 1}"] = names[name]
-    return _Tables(tuple(to_tau), tuple(from_tau), order, factors, degree, names)
+    return _Tables(tuple(to_tau), tuple(from_tau), order, factors, degree, MappingProxyType(names))
 
 
 class _Parser:

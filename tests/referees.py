@@ -48,8 +48,8 @@ from iwafit.ideals import (
 from iwafit.linalg import (
     CoeffMatrix,
     _arithmetic,
-    _back_substitute,
     _ops,
+    _reduce,
     howell_span_rows,
     residue_dtype,
 )
@@ -293,12 +293,5 @@ def back_substituted(E: CoeffMatrix) -> CoeffMatrix:
     tier, width = _arithmetic(mod)
     ops = _ops(tier, mod)
     H = np.array(E.rows, dtype=ops.dtype)
-    es = []
-    for c, row in zip(E.cols, E.rows):
-        pivot, e = int(row[c]), 0
-        while pivot % E.p**(e + 1) == 0:
-            e += 1
-        es.append(e)
-    _back_substitute(H, list(E.cols), es, E.p, width, ops)
-    ncols = E.rows.shape[1]
-    return CoeffMatrix(E.p, E.k, ncols, tuple(H.astype(residue_dtype(mod), copy=False)))
+    _reduce(H, H, E.cols, width, ops, above=True)
+    return CoeffMatrix(E.p, E.k, E.ncols, H)

@@ -9,6 +9,7 @@ from iwafit import ParseError
 from iwafit.cli import (
     Session,
     UsageError,
+    _split_top_level,
     load_euler_data,
     main,
     parse_value,
@@ -106,6 +107,14 @@ def test_parse_value_shapes():
         parse_value("[[t1], [t1, 0]]", session)  # ragged matrix
     with pytest.raises(UsageError):
         parse_value("(t1) extra", session)
+
+
+def test_command_words_split_outside_brackets():
+    assert _split_top_level("fitting [[a, b], [c, d]]") == ["fitting", "[[a, b], [c, d]]"]
+    assert _split_top_level(" ideal \t\t a  \tb\t ") == ["ideal", "a", "b"]
+    assert _split_top_level("ideal\u00a0t1\u00a0 (t1 +\u00a01)") == ["ideal", "t1", "(t1 +\u00a01)"]
+    assert _split_top_level("ideal (a ") == ["ideal", "(a "]
+    assert _split_top_level("[a, b], [c, d]", ",") == ["[a, b]", "[c, d]"]
 
 
 def test_denominator_guard_without_flag():

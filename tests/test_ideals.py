@@ -62,6 +62,9 @@ def test_canonical_detects_strict_inclusion():
     assert not ideal_equal(I, J)
     assert I.contains(t * t)
     assert not J.contains(t)
+    assert zero_ideal(spec).contains(zero(spec))
+    assert not zero_ideal(spec).contains(t * t)
+    assert not zero_ideal(spec).contains(const(spec, spec.p ** (spec.k - 1)))
 
 
 def test_contains_matches_membership(rng):

@@ -239,6 +239,10 @@ def test_echelon_stage_matches_builder(p, k, tier):
         assert [spans(E, v[None]) for v in V] == expected
         assert spans(E, V) == all(expected)
         assert spans(E, V[::2])
+        # The zero span holds only zero vectors; every span holds them.
+        zeros = np.zeros((2, ncols), dtype=V.dtype)
+        assert spans(CoeffMatrix(p, k, ncols), V) == (not V.any())
+        assert spans(CoeffMatrix(p, k, ncols), zeros) and spans(E, zeros)
 
     check()
 

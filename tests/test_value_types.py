@@ -169,6 +169,9 @@ def test_cached_tables_are_read_only():
     with pytest.raises(ValueError):
         groupring._mul_table(SPEC)[3, 3] = 0
     assert mul(delta(SPEC, 1), delta(SPEC, 1)) == make_element(SPEC, {(2, 0): 1})
+    with pytest.raises(TypeError):
+        tables.names["tau1"] = tables.names["t1"]
+    assert parser.element_to_text(parser.parse_element("tau1 + t1", SPEC)) == "t1 + tau1"
 
 
 def test_int64_and_object_arrays_compare_by_entries():
