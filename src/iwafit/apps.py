@@ -23,7 +23,7 @@ from .groupring import (
     group_like,
     twist_hom,
 )
-from .ideals import FractionalIdeal, Ideal, nzd_certificate
+from .ideals import FractionalIdeal, Ideal, nzd_status
 from .shifts import ShiftRequest, shift_trivial
 
 
@@ -76,13 +76,13 @@ class DecompositionData:
 
 
 def _check_denominator(f: RingElement, assume_nzd: bool) -> str:
-    cert = nzd_certificate(f)
-    if cert != "certified" and not assume_nzd:
+    status = nzd_status(f)
+    if status != "certified" and not assume_nzd:
         raise IwafitError(
             "denominator is not certified as a non-zero-divisor; "
             "pass assume_nzd=True to proceed"
         )
-    return "certified" if cert == "certified" else "assumed"
+    return status
 
 
 def euler_factor_closed(data: DecompositionData,

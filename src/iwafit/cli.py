@@ -174,8 +174,7 @@ def parse_value(src: str, session: Session):
                 "denominator is not certified as a non-zero-divisor; "
                 "run with --assume-nzd to proceed"
             )
-        return FractionalIdeal(Ideal(spec, gens), den,
-                               "certified" if status == "certified" else "assumed")
+        return FractionalIdeal(Ideal(spec, gens), den, status)
     return _parse_expression(src, session)
 
 

@@ -72,24 +72,23 @@ products, each below (mod - 1)^2, for a panel or block of width w: a
 column or pivot row is a residue less one product over the panel's
 pivots, and so is a quotient or a block product of ``_reduce``.  One
 policy (``residue_dtype`` for stored residues, ``_arithmetic`` for the
-kernel) picks where that arithmetic is exact.  The first two tiers and the last delay reduction:
-products are raw ``*`` and ``@``, reduced only when a sum is complete.
+kernel) picks where that arithmetic is exact.  The float64 and Python-int
+tiers delay reduction: products are raw ``*`` and ``@``, reduced only
+when a sum is complete.
 
 - float64 (BLAS products, reduced by one int64 cast and one ``%``) while
   ``PANEL*(mod-1)^2 + mod < 2^53``, so every sum is an integer that
   float64 holds exactly and the cast keeps it;
-- int64 for ``mod < 2^31`` (``mod^2 < 2^62``), with the panel cut to the
-  largest width w with ``w*(mod-1)^2 + mod <= 2^63``;
-- exact int64 (``EXACT_INT64``) while ``PANEL^2*mod < 2^53``, that is
-  2^31 <= mod < 2^41 (3^20 to 3^25): residues are int64 and every product
-  is reduced at once.  A product S of width w <= PANEL (w = 1 for a
-  scalar product) is computed twice: in int64, where it wraps mod 2^64,
-  and in float64 through BLAS, which holds every residue below 2^41
-  exactly.  The float error, below about w^2*mod^2*2^-53 < mod, puts
-  ``q = floor(S_float/mod)`` within one of floor(S/mod), so the wrapped
-  remainder ``S_int64 - q*mod`` lies in [-mod, 2mod), where int64 holds
-  it exactly, and a final ``% mod`` gives the residue.  A sum is then a
-  residue less one reduced product, in (-mod, mod);
+- exact int64 (``EXACT_INT64``) above that while ``PANEL^2*mod < 2^53``,
+  that is about 1.19e7 < mod < 2^41 (3^15 to 3^25): residues are int64
+  and every product is reduced at once.  A product S of width w <= PANEL
+  (w = 1 for a scalar product) is computed twice: in int64, where it
+  wraps mod 2^64, and in float64 through BLAS, which holds every residue
+  below 2^41 exactly.  The float error, below ~w^2*mod^2*2^-53 < mod,
+  puts ``q = floor(S_float/mod)`` within one of floor(S/mod), so the
+  wrapped remainder ``S_int64 - q*mod`` lies in [-mod, 2mod), where int64
+  holds it exactly, and a final ``% mod`` gives the residue.  A sum is
+  then a residue less one reduced product, in (-mod, mod);
 - Python ints (dtype object) above that, in panels of ``OBJECT_PANEL``.
 
 The tests hold the kernel to a slow referee that inserts rows one at a
@@ -138,8 +137,6 @@ def _arithmetic(mod: int):
     """(tier, panel width) of the Howell kernel modulo ``mod``."""
     if PANEL * (mod - 1) ** 2 + mod < 2**53:
         return np.float64, PANEL
-    if residue_dtype(mod) is np.int64:
-        return np.int64, min(PANEL, (2**63 - mod) // (mod - 1) ** 2)
     if PANEL * PANEL * mod < 2**53:
         return EXACT_INT64, PANEL
     return object, OBJECT_PANEL
@@ -201,6 +198,8 @@ class CoeffMatrix(ArrayValue):
             rows = rows.reshape(0, self.ncols)
         if rows.ndim != 2 or rows.shape[1] != self.ncols:
             raise ValueError("row length does not match ncols")
+        if not self.ncols and len(rows):
+            raise ValueError("rows given for a matrix with no columns")
         rows %= self.modulus
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
@@ -216,7 +215,8 @@ class CoeffMatrix(ArrayValue):
     @cached_property
     def cols(self) -> np.ndarray:
         """The column of each row's first non-zero entry."""
-        cols = np.argmax(self.rows != 0, axis=1)
+        # np.argmax has no answer over zero columns, where there are no rows.
+        cols = np.argmax(self.rows != 0, axis=1) if self.ncols else np.zeros(0, dtype=np.intp)
         cols.flags.writeable = False
         return cols
 
@@ -276,7 +276,7 @@ def _working_copy(mat, ncols: int, mod: int, tier, dtype, room: int = 0):
     A = np.asarray(mat)
     if not (A.dtype == object and tier in (object, EXACT_INT64)):
         A = A.astype(object if tier is object else np.int64, copy=False)
-    if A.ndim != 2 or (A.size and A.shape[1] != ncols):
+    if A.ndim != 2 or (len(A) and A.shape[1] != ncols):
         raise ValueError("matrix shape does not match ncols")
     keep = np.flatnonzero(np.any(A, axis=1))
     M = np.zeros((len(keep) + room, ncols), dtype=dtype)

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,9 @@ from iwafit.cli import (
     run_command,
     run_session,
 )
+from iwafit.paperchecks import render_report, run_paper_checks
+
+VERIFY_PAPER_REPORT = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify_paper.txt"
 
 FIXED_KEYS = {"spec", "command", "verdict", "certified_precision",
               "canonical_generators"}
@@ -102,6 +106,9 @@ def test_parse_value_shapes():
     assert isinstance(parse_value("t1 + 1", session), RingElement)
     assert isinstance(parse_value("(t1, tau1)", session), Ideal)
     assert isinstance(parse_value("(t1)/t1", session), FractionalIdeal)
+    # The denominator keeps the status nzd_status gives it.
+    assert parse_value("(t1)/t1", session).nzd_status == "certified"
+    assert parse_value("(t1)/tau1", session).nzd_status == "assumed"
     assert isinstance(parse_value("[[t1, 0], [0, 1]]", session), RingMatrix)
     with pytest.raises(UsageError):
         parse_value("[[t1], [t1, 0]]", session)  # ragged matrix
@@ -190,6 +197,13 @@ def test_verify_paper_is_deterministic(capsys):
     report = doc["canonical_generators"]
     assert all(line.startswith(("PASS", "FAIL", "paper", "2")) or "checks passed"
                in line for line in report)
+
+
+def test_verify_paper_report_matches_reference():
+    # The report at the default precision, byte for byte as recorded by
+    # perfbench/record_reference.py; the benchmark's cli-session gate
+    # checks the same bytes.
+    assert render_report(run_paper_checks(4, 6), 4, 6).encode() == VERIFY_PAPER_REPORT.read_bytes()
 
 
 def test_precision_error_exit_code(tmp_path, capsys):

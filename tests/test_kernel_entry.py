@@ -12,7 +12,8 @@ import pytest
 
 import iwafit
 
-KERNEL_INTERNALS = {"_eliminate", "_reduce", "_working_copy"}
+# The kernel's steps and its tier policy (which arithmetic, which panel).
+KERNEL_INTERNALS = {"_arithmetic", "_eliminate", "_ops", "_reduce", "_working_copy"}
 MODULES = sorted(p for p in Path(iwafit.__file__).parent.glob("*.py") if p.name != "linalg.py")
 
 
@@ -32,7 +33,7 @@ def kernel_internals_used(source: str) -> list[str]:
 def test_scanner_finds_kernel_internals():
     assert kernel_internals_used(
         "from .linalg import _eliminate\nfrom . import linalg\n"
-        "linalg._reduce(H)\n") == ["_eliminate", "_reduce"]
+        "linalg._reduce(H)\nlinalg._arithmetic(9)\n") == ["_arithmetic", "_eliminate", "_reduce"]
     assert kernel_internals_used("from .linalg import howell_span_rows\n") == []
 
 

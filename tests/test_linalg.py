@@ -158,10 +158,10 @@ TIERS = [
     (3, 4, np.float64, 12),
     (5, 4, np.float64, 12),
     (11863279, 1, np.float64, 8),  # largest prime with 64*(q-1)^2 + q < 2^53
-    (11863289, 1, np.int64, 8),  # the next prime, past the float bound
-    (3, 17, np.int64, 8),
-    (3, 19, np.int64, 8),  # panels of 6 columns
-    (2147483647, 1, np.int64, 4),  # 2^31 - 1: panels of 2 columns
+    (11863289, 1, EXACT_INT64, 8),  # the next prime, past the float bound
+    (3, 17, EXACT_INT64, 8),
+    (3, 19, EXACT_INT64, 8),
+    (2147483647, 1, EXACT_INT64, 4),  # 2^31 - 1, the largest prime with int64 rows
     (2147483659, 1, EXACT_INT64, 4),  # the first prime above 2^31
     (3, 21, EXACT_INT64, 4),
     (2199023255531, 1, EXACT_INT64, 4),  # largest prime with 64^2 * q < 2^53
@@ -187,11 +187,11 @@ def test_kernel_matches_builder(p, k, tier, examples):
     check()
 
 
-# The echelon stage in each tier: float64, cut-panel int64, exact int64 and
-# Python ints.
+# The echelon stage in each tier: float64, exact int64 (with int64 rows at
+# 3^18 and Python-int rows at 3^21) and Python ints.
 ECHELON_TIERS = [
     (5, 4, np.float64),
-    (3, 18, np.int64),
+    (3, 18, EXACT_INT64),
     (3, 21, EXACT_INT64),
     (3, 70, object),
 ]
@@ -250,6 +250,7 @@ def test_echelon_stage_matches_builder(p, k, tier):
 def test_residue_dtype_thresholds():
     assert residue_dtype(2**31 - 1) is np.int64
     assert residue_dtype(2147483659) is object
+    assert _arithmetic(11863289) == _arithmetic(2**31 - 1) == (EXACT_INT64, 64)
     assert _arithmetic(2147483659) == (EXACT_INT64, 64)
     assert _arithmetic(2199023255531) == (EXACT_INT64, 64)
     assert _arithmetic(2199023255579) == (object, 16)
@@ -281,10 +282,12 @@ def test_exact_int64_products(mod):
         assert [int(x) for x in got.ravel()] == [int(x) for x in want.ravel()]
 
 
-@pytest.mark.parametrize("p,tier", [(11863279, np.float64), (2147483647, np.int64)])
+@pytest.mark.parametrize("p,tier", [(11863279, np.float64), (11863289, EXACT_INT64),
+                                    (2147483647, EXACT_INT64), (2199023255531, EXACT_INT64)])
 def test_kernel_near_mod_at_tier_bounds(p, tier):
-    # At the float bound and at 2^31 - 1 (panels of 2 columns), entries
-    # drawn within 4 of mod - 1 take the sums nearest to their tier's bound.
+    # Entries drawn within 4 of mod - 1 give the largest products: on both
+    # sides of the float bound, at 2^31 - 1 (the largest prime with int64
+    # rows) and at the exact bound.
     assert _arithmetic(p)[0] is tier
     rnd = random.Random(p)
     nrows, ncols = 120, 100
@@ -364,6 +367,22 @@ def test_coeff_matrix_rejects_wrong_width_rows(p, k):
             CoeffMatrix(p, k, 2, rows)
     assert CoeffMatrix(p, k, 2, ()).rows.shape == (0, 2)
     assert CoeffMatrix(p, k, 2, np.zeros((0, 2), dtype=np.int64)).rows.shape == (0, 2)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 70)])
+def test_zero_column_form(p, k):
+    """A form with no columns has no pivots, length 0 and spans every
+    zero-width vector; the kernel takes zero-column input to no rows, and
+    rows given for no columns or vectors of the wrong width are refused."""
+    E = CoeffMatrix(p, k, 0)
+    assert E.cols.tolist() == [] and E.length == 0
+    assert spans(E, np.zeros((2, 0), dtype=np.int64))
+    assert howell_span_rows(p, k, 0, np.zeros((2, 0), dtype=np.int64)) == []
+    assert howell_form(E) == E
+    with pytest.raises(ValueError):
+        CoeffMatrix(p, k, 0, np.zeros((2, 0), dtype=np.int64))
+    with pytest.raises(ValueError):
+        spans(CoeffMatrix(p, k, 3), np.zeros((2, 0), dtype=np.int64))
 
 
 @pytest.mark.parametrize("p,k,tier", ECHELON_TIERS)
