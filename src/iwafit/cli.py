@@ -25,8 +25,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .apps import DecompositionData, euler_factor_closed, euler_factor_direct
 from .complexes import RingMatrix, matrix_from_rows
@@ -41,7 +44,7 @@ from .ideals import (
     integral,
     nzd_status,
 )
-from .parser import element_to_text, lowest_degree, parse_element
+from .parser import element_to_text, parse_element, texts_by_degree
 from .shifts import ShiftRequest, shift_trivial
 
 
@@ -75,34 +78,66 @@ def spec_json(spec: GroupRingSpec | None):
 
 
 def ideal_generators_text(I: Ideal) -> list[str]:
-    elems = element_texts_sorted(I.canonical_elements())
-    return elems
+    return texts_by_degree(I.spec, I.canonical.rows)
 
 
 def element_texts_sorted(elems) -> list[str]:
     """Texts ordered by (lowest total degree of a non-zero delta/T
-    monomial, text); each element is printed once."""
-    keyed = sorted((lowest_degree(x), element_to_text(x)) for x in elems)
-    return [text for _, text in keyed]
+    monomial, text); the elements are printed as one stack."""
+    elems = list(elems)
+    if not elems:
+        return []
+    return texts_by_degree(elems[0].spec, np.stack([x.coeffs for x in elems]))
 
 
-def _split_top_level(src: str, seps=None) -> list[str]:
-    """Split ``src`` outside brackets: at the characters of ``seps``, each
-    part stripped, or, when ``seps`` is None, at whitespace with the empty
-    parts dropped, like ``str.split()``."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(src):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif depth == 0 and (ch.isspace() if seps is None else ch in seps):
-            parts.append(src[start:i])
+# The command-line walkers visit only the brackets; the text between them
+# is split by ``str.split`` or, at whitespace, by ``_SPACE_RE``.
+_BRACKET_RE = re.compile(r"[][()]")
+_SPACE_RE = re.compile(r"\s+")
+
+
+def _split_top_level(src: str, sep=None) -> list[str]:
+    """Split ``src`` outside brackets: at ``sep``, each part stripped, or,
+    when ``sep`` is None, at whitespace with the empty parts dropped, like
+    ``str.split()``."""
+    parts, depth, start = [""], 0, 0
+
+    def split_outside(text):
+        first, *rest = _SPACE_RE.split(text) if sep is None else text.split(sep)
+        parts[-1] += first
+        parts.extend(rest)
+
+    for m in _BRACKET_RE.finditer(src):
+        i = m.start()
+        if depth == 0:  # the text since ``start`` lies outside brackets
+            split_outside(src[start:i])
+            start = i
+        depth += 1 if m.group() in "([" else -1
+        if depth == 0:  # a bracketed span ends here, unsplit
+            parts[-1] += src[start:i + 1]
             start = i + 1
-    parts.append(src[start:])
-    if seps is None:
+    if depth == 0:
+        split_outside(src[start:])
+    else:
+        parts[-1] += src[start:]
+    if sep is None:
         return [p for p in parts if p]
     return [p.strip() for p in parts]
+
+
+def _closing_paren(src: str) -> int:
+    """Index of the ")" that closes the "(" at the start of ``src``, or -1;
+    square brackets do not count."""
+    depth = 0
+    for m in _BRACKET_RE.finditer(src):
+        ch = m.group()
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                return m.start()
+    return -1
 
 
 def _parse_expression(src: str, session: Session) -> RingElement:
@@ -148,14 +183,7 @@ def parse_value(src: str, session: Session):
             raise UsageError("matrix rows have unequal lengths")
         return matrix_from_rows(spec, rows)
     if src.startswith("("):
-        depth = 0
-        close = -1
-        for i, ch in enumerate(src):
-            depth += ch == "("
-            depth -= ch == ")"
-            if depth == 0:
-                close = i
-                break
+        close = _closing_paren(src)
         if close < 0:
             raise UsageError(f"unbalanced parenthesis in ideal literal {src!r}")
         inner = src[1:close]

@@ -10,7 +10,8 @@ operations are pure functions.
 Every change of coordinates that acts one axis at a time (the ring
 homomorphisms, the parser's tau basis and the CRT blocks of ``ideals``) is
 ``along_axes``: one (r_out, r_in) matrix per axis of the coefficient
-tensor, of shape ``spec.radices``, in ``residue_dtype(p^k, inner=r_in)``.
+tensor, of shape ``spec.radices`` (or a stack of such tensors, behind
+leading axes), in ``residue_dtype(p^k, inner=r_in)``.
 Homomorphism images are cast to the target spec's dtype.
 """
 
@@ -410,13 +411,17 @@ def along_axes(spec: GroupRingSpec, coeffs: np.ndarray, mats) -> np.ndarray:
     """Apply ``mats[i]``, an (r_out, r_in) matrix or None, along axis i of
     the coefficient tensor of ``coeffs`` (shape ``spec.radices``), mod p^k.
 
-    Axes past ``len(mats)`` are left alone.  Each product sums r_in terms,
-    so matrix and tensor are cast to ``residue_dtype(p^k, inner=r_in)``;
-    the result is in the dtype of the last matrix applied.
+    ``coeffs`` has shape ``(..., spec.size)``: leading axes index a stack
+    of elements, each transformed alike, and the result has shape
+    ``(..., *radices_out)``.  Axes past ``len(mats)`` are left alone.  Each
+    product sums r_in terms, so matrix and tensor are cast to
+    ``residue_dtype(p^k, inner=r_in)``, once per call; the result is in the
+    dtype of the last matrix applied.
     """
     mod = spec.modulus
-    a = coeffs.reshape(spec.radices)
-    for axis, mat in enumerate(mats):
+    batch = coeffs.ndim - 1
+    a = coeffs.reshape(coeffs.shape[:batch] + spec.radices)
+    for axis, mat in enumerate(mats, start=batch):
         if mat is None:
             continue
         dtype = residue_dtype(mod, inner=mat.shape[1])

@@ -81,7 +81,6 @@ from .groupring import (
     along_axes,
     char_eval,
     crt_factors,
-    from_vector,
     mul,
     multiplication_rows,
     one,
@@ -320,9 +319,6 @@ class Ideal:
                             np.vstack(stack)) if stack else ()
             forms.append(rows)
         return forms
-
-    def canonical_elements(self) -> list[RingElement]:
-        return [from_vector(self.spec, row) for row in self.canonical.rows]
 
     def is_zero(self) -> bool:
         return self.canonical.nrows == 0

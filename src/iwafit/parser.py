@@ -10,8 +10,9 @@ Grammar (precedence ^ > * > + -, left associative, unary minus allowed):
 
 d<i> is the i-th group generator, t<j> the j-th T variable, tau<i> sugar
 for d<i> - 1, N(i, ...) the norm of the listed cyclic factors and N() the
-full group norm.  ``element_to_text`` prints in tau/T notation and round
-trips through ``parse_element``.
+full group norm.  ``texts_by_degree`` prints a stack of elements in tau/T
+notation, ``element_to_text`` is its one-row case, and both round trip
+through ``parse_element``.
 
 Both directions work from per-spec tables (``_tables``, cached like the
 tables in ``groupring``):
@@ -20,12 +21,15 @@ tables in ``groupring``):
   delta-power basis and the tau-power basis (delta = 1 + tau), applied
   by ``groupring.along_axes``, which picks their residue dtype;
 - the print order of the monomials (total degree, then exponent tuple),
-  each monomial's factor string and its total degree;
+  each monomial's term text and its total degree;
 - the flat-index stride, radix and axis of every name tau<i>, tau_<i>
   and t<j>.
 
-The printer changes basis once and joins the factor strings of the
-non-zero coefficients.  The parser reads a term of the form
+The printer changes basis once per printed stack, one ``along_axes``
+call on all its rows, reads each row's lowest degree from the same
+delta-basis rows, and joins the term texts of the non-zero coefficients
+row by row.  The tokenizer takes one regex scan per source line.  The
+parser reads a term of the form
 
     monomial := [INT '*'] var ['^' INT] ('*' var ['^' INT])*  |  INT
     var      := tau<i> | tau_<i> | t<j>     (each at most once per term)
@@ -44,7 +48,6 @@ comes from the evaluator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
@@ -68,13 +71,14 @@ from .groupring import (
 )
 from .linalg import frozen
 
+# Every non-space character starts a match: a token, or ``bad`` for a
+# character no token begins with.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^(),]))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^(),])|(?P<bad>\S))"
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int", "name", "op", "end"
     text: str
     line: int
@@ -84,18 +88,12 @@ class Token:
 def tokenize(src: str) -> list[Token]:
     tokens = []
     for lineno, line in enumerate(src.split("\n"), start=1):
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                rest = line[pos:].lstrip()
-                if not rest:
-                    break
-                col = pos + (len(line[pos:]) - len(rest)) + 1
-                raise ParseError(f"unexpected character {rest[0]!r}", lineno, col)
+        for m in _TOKEN_RE.finditer(line):
             kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group(kind)!r}",
+                                 lineno, m.start(kind) + 1)
             tokens.append(Token(kind, m.group(kind), lineno, m.start(kind) + 1))
-            pos = m.end()
     last = tokens[-1] if tokens else None
     tokens.append(Token("end", "", last.line if last else 1,
                         last.column + len(last.text) if last else 1))
@@ -106,7 +104,8 @@ class _Tables(NamedTuple):
     to_tau: tuple[np.ndarray, ...]  # per group axis: delta-power -> tau-power
     from_tau: tuple[np.ndarray, ...]  # per group axis: tau-power -> delta-power
     order: np.ndarray  # flat monomial indices in print order
-    factors: tuple[str, ...]  # per flat index: "tau1^2*t1", "" for 1
+    unit: np.ndarray  # per print position: the term of coefficient 1, "tau1^2*t1", "1"
+    scaled: np.ndarray  # per print position: what follows another coefficient, "*tau1^2*t1", ""
     degree: np.ndarray  # per flat index: total degree
     names: MappingProxyType  # "tau1", "tau_1", "t1" -> (axis, stride, radix, is_tau)
 
@@ -128,10 +127,11 @@ def _tables(spec: GroupRingSpec) -> _Tables:
     order = frozen(np.argsort(degree, kind="stable"))
     letters = [f"tau{i}" for i in range(1, spec.s + 1)] + \
               [f"t{j}" for j in range(1, spec.d + 1)]
-    factors = tuple(
-        "*".join(name if e == 1 else f"{name}^{e}"
-                 for name, e in zip(letters, row) if e)
-        for row in exps.tolist())
+    factors = ["*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(letters, row) if e)
+               for row in exps[order].tolist()]
+    unit = frozen(np.array([f or "1" for f in factors], dtype=object))
+    scaled = frozen(np.array([f and f"*{f}" for f in factors], dtype=object))
     names = {}
     stride = spec.size
     for axis, (name, radix) in enumerate(zip(letters, spec.radices)):
@@ -140,7 +140,8 @@ def _tables(spec: GroupRingSpec) -> _Tables:
         names[name] = (axis, stride, radix, is_tau)
         if is_tau:
             names[f"tau_{axis + 1}"] = names[name]
-    return _Tables(tuple(to_tau), tuple(from_tau), order, factors, degree, MappingProxyType(names))
+    return _Tables(tuple(to_tau), tuple(from_tau), order, unit, scaled, degree,
+                   MappingProxyType(names))
 
 
 class _Parser:
@@ -349,32 +350,30 @@ def parse_element(src: str, spec: GroupRingSpec, names=None) -> RingElement:
     return _Parser(tokenize(src), spec, names).parse()
 
 
-def element_to_text(x: RingElement) -> str:
-    """Canonical tau/T-notation text, re-parseable by ``parse_element``.
+def texts_by_degree(spec: GroupRingSpec, rows: np.ndarray) -> list[str]:
+    """Canonical texts of a stack of elements, given as delta/T coefficient
+    rows of shape (n, spec.size), ordered by (lowest total degree of a
+    non-zero delta/T monomial, text); the zero element has degree 0.
 
-    Terms are ordered by ascending total degree, then lexicographically by
-    exponent tuple; the zero element prints as "0".
+    One basis change turns every row into tau/T coefficients.  Within a
+    text, terms are ordered by ascending total degree, then
+    lexicographically by exponent tuple; the zero element prints as "0".
     """
-    spec = x.spec
     tables = _tables(spec)
-    tau = along_axes(spec, x.coeffs, tables.to_tau).reshape(spec.size)
-    order = tables.order[tau[tables.order] != 0]
-    if not len(order):
-        return "0"
-    parts = []
-    for i in order.tolist():
-        c, factor = int(tau[i]), tables.factors[i]
-        if not factor:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(factor)
-        else:
-            parts.append(f"{c}*{factor}")
-    return " + ".join(parts)
+    n = len(rows)
+    tau = along_axes(spec, rows, tables.to_tau).reshape(n, spec.size)[:, tables.order]
+    which, at = np.nonzero(tau)
+    parts = [unit if c == 1 else f"{c}{scaled}" for c, unit, scaled in
+             zip(tau[which, at].tolist(), tables.unit[at].tolist(), tables.scaled[at].tolist())]
+    ends = np.cumsum(np.bincount(which, minlength=n)).tolist()
+    texts = [" + ".join(parts[start:end]) or "0" for start, end in zip([0] + ends, ends)]
+    top = int(tables.degree.max()) + 1  # above every total degree
+    lowest = np.where(rows != 0, tables.degree, top).min(axis=1, initial=top)
+    lowest[lowest == top] = 0
+    return [text for _, text in sorted(zip(lowest.tolist(), texts))]
 
 
-def lowest_degree(x: RingElement) -> int:
-    """Smallest total degree of a delta/T monomial with a non-zero
-    coefficient in x (0 for the zero element)."""
-    support = np.flatnonzero(x.coeffs)
-    return int(_tables(x.spec).degree[support].min()) if len(support) else 0
+def element_to_text(x: RingElement) -> str:
+    """Canonical tau/T-notation text, re-parseable by ``parse_element``: the
+    one-row case of ``texts_by_degree``."""
+    return texts_by_degree(x.spec, x.coeffs.reshape(1, -1))[0]

@@ -14,6 +14,11 @@ generator, the referees for ``Ideal.canonical`` and, through
 T_d-homogeneous elements.  ``Ideal.key`` holds echelon forms, which are not
 unique; back-substituting one by the kernel's own step gives the unique
 Howell form, so a key block is held to the referee's block that way.
+``per_element_generator_texts`` prints an ideal's canonical generators
+one element at a time, the referee for ``iwafit.cli.ideal_generators_text``;
+``split_top_level_by_chars`` and ``closing_paren_by_chars`` walk a command
+line one character at a time, the referees for ``iwafit.cli``'s
+``_split_top_level`` and ``_closing_paren``.
 No library path uses any of them.
 """
 
@@ -29,7 +34,9 @@ from iwafit.groupring import (
     Character,
     CyclotomicElement,
     RingElement,
+    _exponent_array,
     _zeta_powers,
+    from_vector,
     mul,
     multiplication_rows,
     one,
@@ -53,6 +60,7 @@ from iwafit.linalg import (
     howell_span_rows,
     residue_dtype,
 )
+from iwafit.parser import element_to_text
 
 
 class HowellBuilder:
@@ -295,3 +303,46 @@ def back_substituted(E: CoeffMatrix) -> CoeffMatrix:
     H = np.array(E.rows, dtype=ops.dtype)
     _reduce(H, H, E.cols, width, ops, above=True)
     return CoeffMatrix(E.p, E.k, E.ncols, H)
+
+
+def per_element_generator_texts(I: Ideal) -> list[str]:
+    """The canonical generators of I, each printed as its own element and
+    sorted by (lowest total degree of a non-zero delta/T monomial, text)."""
+    spec = I.spec
+    degree = _exponent_array(spec).sum(axis=1)
+    keyed = []
+    for row in I.canonical.rows:
+        x = from_vector(spec, row)
+        support = np.flatnonzero(x.coeffs)
+        keyed.append((int(degree[support].min()) if len(support) else 0, element_to_text(x)))
+    return [text for _, text in sorted(keyed)]
+
+
+def split_top_level_by_chars(src: str, sep=None) -> list[str]:
+    """Split at ``sep`` (each part stripped) or, when None, at whitespace
+    (empty parts dropped), wherever the bracket depth is 0."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(src):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif depth == 0 and (ch.isspace() if sep is None else ch == sep):
+            parts.append(src[start:i])
+            start = i + 1
+    parts.append(src[start:])
+    if sep is None:
+        return [p for p in parts if p]
+    return [p.strip() for p in parts]
+
+
+def closing_paren_by_chars(src: str) -> int:
+    """Index at which the parenthesis depth of ``src`` first returns to 0,
+    or -1."""
+    depth = 0
+    for i, ch in enumerate(src):
+        depth += ch == "("
+        depth -= ch == ")"
+        if depth == 0:
+            return i
+    return -1

@@ -2,15 +2,22 @@
 
 import io
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iwafit import ParseError
+from iwafit import GroupRingSpec, Ideal, ParseError, const, delta, one, tvar
 from iwafit.cli import (
+    _SPACE_RE,
     Session,
     UsageError,
+    _closing_paren,
     _split_top_level,
+    ideal_generators_text,
     load_euler_data,
     main,
     parse_value,
@@ -18,6 +25,9 @@ from iwafit.cli import (
     run_session,
 )
 from iwafit.paperchecks import render_report, run_paper_checks
+
+from conftest import random_element
+from referees import closing_paren_by_chars, per_element_generator_texts, split_top_level_by_chars
 
 VERIFY_PAPER_REPORT = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify_paper.txt"
 
@@ -122,6 +132,37 @@ def test_command_words_split_outside_brackets():
     assert _split_top_level("ideal\u00a0t1\u00a0 (t1 +\u00a01)") == ["ideal", "t1", "(t1 +\u00a01)"]
     assert _split_top_level("ideal (a ") == ["ideal", "(a "]
     assert _split_top_level("[a, b], [c, d]", ",") == ["[a, b]", "[c, d]"]
+
+
+def test_space_regex_is_str_isspace():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(_SPACE_RE.findall(every)) == "".join(ch for ch in every if ch.isspace())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab ,()[]\t\u00a0\u2028", max_size=30))
+def test_walkers_match_the_per_character_loops(src):
+    assert _split_top_level(src) == split_top_level_by_chars(src)
+    assert _split_top_level(src, ",") == split_top_level_by_chars(src, ",")
+    if src.startswith("("):
+        assert _closing_paren(src) == closing_paren_by_chars(src)
+
+
+@pytest.mark.parametrize("spec", [GroupRingSpec(3, 3, (3, 9), 1, 4),
+                                  GroupRingSpec(3, 21, (3,), 1, 3),
+                                  GroupRingSpec(3, 2, (), 2, 3)],
+                         ids=["int64", "object", "trivial"])
+def test_generator_texts_match_per_element_printing(spec, rng):
+    t1 = tvar(spec, 1)
+    tau = delta(spec, 1) - one(spec) if spec.s else const(spec, 3)
+    ideals = [Ideal(spec, [const(spec, 0)]), Ideal(spec, [one(spec)]),
+              Ideal(spec, [tau * t1, t1 ** 2, const(spec, spec.p) * t1])]
+    ideals += [Ideal(spec, [random_element(spec, rng) * t1 ** i, random_element(spec, rng) * tau])
+               for i in range(3)]
+    for I in ideals:
+        assert ideal_generators_text(I) == per_element_generator_texts(I)
+    assert np.shape(ideals[0].canonical.rows) == (0, spec.size)
+    assert ideal_generators_text(ideals[0]) == []
 
 
 def test_denominator_guard_without_flag():

@@ -243,6 +243,32 @@ def test_along_axes_matches_python_ints(name, rng):
                 assert np.array_equal(got, along_axes_naive(spec, x.coeffs, chosen))
 
 
+@pytest.mark.parametrize("name", sorted(DTYPE_SPECS))
+def test_along_axes_on_a_stack_matches_each_row(name, rng):
+    """Leading batch axes: a stack gives each row's single-element result
+    and dtype, for quotient homs (1 x m matrices), a twist and random
+    non-square matrices, with zero and repeated rows and an empty stack."""
+    spec = DTYPE_SPECS[name]
+    mod = spec.modulus
+    xs = [random_element(spec, rng) for _ in range(4)]
+    stack = np.stack([x.coeffs for x in xs + [zero(spec), xs[1]]])
+    random_mats = [np.array([int.from_bytes(rng.bytes(16), "little") % mod
+                             for _ in range(2 * r)], dtype=object).reshape(2, r)
+                   for r in spec.radices]
+    for mats in (quotient_hom(spec, kill_delta=(1,)).mats, quotient_hom(spec, kill_t=(1,)).mats,
+                 twist_hom(spec, tuple(root_of_unity(spec, m) for m in spec.orders), (1,)).mats,
+                 random_mats, random_mats[:1] + [None] * (len(random_mats) - 1)):
+        rows = [along_axes(spec, row, mats) for row in stack]
+        got = along_axes(spec, stack, mats)
+        assert got.shape == (len(stack),) + rows[0].shape
+        for g, r in zip(got, rows):
+            assert g.dtype == r.dtype and np.array_equal(g, r)
+        square = along_axes(spec, stack[:4].reshape(2, 2, spec.size), mats)
+        assert np.array_equal(square.reshape(got[:4].shape), got[:4])
+        empty = along_axes(spec, stack[:0], mats)
+        assert empty.shape == (0,) + rows[0].shape and empty.dtype == rows[0].dtype
+
+
 def test_gamma_twist_multiplicative_below_truncation(rng):
     # the T-substitution is an exact hom of the untruncated ring, so the
     # hom property holds whenever the product stays below T-degree N

@@ -75,6 +75,23 @@ def test_tokenizer_tracks_lines():
     assert [(t.text, t.line) for t in toks[:-1]] == [("a", 1), ("+", 1), ("b", 2)]
 
 
+@pytest.mark.parametrize("src, message, line, column", [
+    ("d1 +\t$", "unexpected character '$'", 1, 6),  # after a tab
+    ("d1 +\r\n t1 @ 2", "unexpected character '@'", 2, 5),  # line 2 after \r\n
+    ("d1$", "unexpected character '$'", 1, 3),  # right after a token
+    ("t1 + 2$ ", "unexpected character '$'", 1, 7),
+    ("  \t \n  ", "expected a value, found 'end of input'", 1, 1),  # only whitespace
+    ("", "expected a value, found 'end of input'", 1, 1),  # the end token at 1:1
+])
+def test_tokenizer_error_positions(spec, src, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_element(src, spec)
+    assert (str(err.value), err.value.line, err.value.column) == \
+        (f"{message} (line {line}, column {column})", line, column)
+    if message.startswith("expected"):
+        assert [tuple(t) for t in tokenize(src)] == [("end", "", 1, 1)]
+
+
 def test_text_round_trip(spec, rng):
     for _ in range(50):
         x = random_element(spec, rng)
@@ -121,8 +138,10 @@ from math import comb
 
 from hypothesis import settings
 
-from iwafit import cli
-from iwafit.parser import _Parser
+import numpy as np
+
+from iwafit import cli, from_vector
+from iwafit.parser import _Parser, texts_by_degree
 
 _FAST_SPECS = (
     GroupRingSpec(3, 3, (3, 9), 2, 4),  # the ``spec`` fixture: int64 residues
@@ -282,6 +301,45 @@ def test_printer_matches_term_by_term_referee(spec, rng):
     if spec.s:
         sparse = delta(spec, spec.s) ** 5 * tvar(spec, 1) - const(spec, 2) * delta(spec, 1)
         assert element_to_text(sparse) == reference_text(sparse)
+
+
+def reference_texts_by_degree(elems):
+    """Reference texts ordered by (lowest total degree of a non-zero
+    delta/T monomial, text), one element at a time."""
+    def key(x):
+        terms = x.terms()
+        return (min(sum(e) for e, _ in terms) if terms else 0, reference_text(x))
+    return [text for _, text in sorted(map(key, elems))]
+
+
+@st.composite
+def stacks(draw):
+    """(spec, rows): a stack of 0 to 6 coefficient rows drawn from a pool
+    of sparse elements and zero, so rows repeat and vanish."""
+    spec = draw(st.sampled_from(_FAST_SPECS))
+    coeff = st.integers(-spec.modulus, 2 * spec.modulus)
+    pool = [const(spec, 0)]
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(st.integers(0, spec.size - 1), coeff, max_size=6))
+        vec = np.zeros(spec.size, dtype=object)
+        for index, c in terms.items():
+            vec[index] = c % spec.modulus
+        pool.append(from_vector(spec, vec))
+    picks = draw(st.lists(st.sampled_from(pool), max_size=6))
+    rows = np.stack([x.coeffs for x in picks]) if picks else \
+        np.zeros((0, spec.size), dtype=spec.dtype())
+    return spec, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks())
+def test_stacked_printer_matches_reference_row_by_row(case):
+    spec, rows = case
+    elems = [from_vector(spec, row) for row in rows]
+    assert texts_by_degree(spec, rows) == reference_texts_by_degree(elems)
+    for x in elems:  # one-row stacks
+        assert texts_by_degree(spec, x.coeffs.reshape(1, -1)) == [reference_text(x)]
+        assert element_to_text(x) == reference_text(x)
 
 
 @pytest.mark.parametrize("spec", _FAST_SPECS, ids=_IDS)

@@ -158,6 +158,8 @@ def test_cached_tables_are_read_only():
         *tables.to_tau,
         *tables.from_tau,
         tables.order,
+        tables.unit,
+        tables.scaled,
         tables.degree,
         *ideals._split(split_spec).crt,
     ]
