@@ -17,7 +17,8 @@ Every command emits one JSON document with the fixed keys
 {"spec", "command", "verdict", "certified_precision", "canonical_generators"}.
 Exit codes: 0 success, 1 verification mismatch or any other library error
 (an ``IwafitError`` such as ``UnsupportedShiftError`` for a shift outside
-the computable regimes), 2 usage or parse error, 3 working precision too
+the computable regimes), or standard output closed before everything was
+written (no traceback), 2 usage or parse error, 3 working precision too
 low (the message names the N needed).
 """
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -426,6 +428,22 @@ def _run_commands(commands, session: Session, output=None) -> int:
 
 
 def main(argv=None) -> int:
+    """The ``iwafit`` command; returns its exit code.  Exit 1 when standard
+    output closes before everything is written."""
+    try:
+        status = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Standard output goes to devnull, so that the
+        # flush at interpreter exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return status
+
+
+def _dispatch(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="iwafit",
         description="Fitting ideals and their shifts over truncated group rings",

@@ -16,14 +16,17 @@ panel holds its rows ``A`` as they stood at its start, the multipliers
 ``C`` and its finished pivot rows ``U``, full width from the panel start;
 a row's current entries are its ``A`` row less its ``C`` row times ``U``.
 A column is brought up to date only when elimination reaches it, as
-``red(A[:, j] - C @ U[:, j])``.  Its pivot is the first row of least
-valuation p^e, and the pivot row, panel part and trailing part at once,
-is ``red(red(A[r, j:] - C[r] @ U[:, j:]) * inv)``, inv the inverse of the
-pivot's unit part; its multiples in the other rows become a column of
-``C``.  The rows p^(k-e) times a pivot, which keep the row set
-span-closed, enter ``A`` as they arise.  At the end of the panel one
-product ``A - C @ U`` brings the trailing columns up to date, and pivot
-rows and zero rows are dropped.
+``red(A[:, j] - C @ U[:, j])``.  Its pivot is the first row r of least
+valuation p^e, found by one gcd with p^k over the column: gcd(x, p^k) is
+p^valuation(x), and p^k for x = 0.  The pivot row, panel part and
+trailing part at once, is ``red(red(A[r, j:] - C[r] @ U[:, j:]) * inv)``,
+inv the inverse of the pivot's unit part u.  The column divided by p^e
+becomes a column of ``C``, except at row r, whose multiplier
+u - p^(k-e) turns the row into p^(k-e) times the pivot row: zero for a
+unit pivot, else the multiple that keeps the row set span-closed, kept
+in the row's own place.  At the end of the panel one product
+``A - C @ U`` brings the trailing columns up to date, and zero rows are
+dropped.
 
 One routine, ``_reduce``, reduces target rows against echelon rows H with
 pivots p^e (Howell, "Spans in the module (Z_m)^s", 1986), one block of
@@ -97,7 +100,6 @@ time (``HowellBuilder`` in ``tests/referees.py``).
 
 from __future__ import annotations
 
-import math
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -259,86 +261,79 @@ def _ops(tier, mod: int) -> _Ops:
     return _Ops(tier, lambda x: x % mod, np.multiply, np.matmul)
 
 
-def _min_valuation(vals: np.ndarray, p: int, k: int) -> tuple[int, int]:
-    """(e, i): the least p-adic valuation among the non-zero residues
-    ``vals`` mod p^k and the first index attaining it."""
-    g = np.gcd(vals, p ** (k - 1))  # p^valuation, as every valuation is < k
-    i = int(np.argmin(g))
-    return round(math.log(int(g[i]), p)), i
+def _pivot(col: np.ndarray, mod: int) -> tuple[int, int]:
+    """(r, p^e): the first row of least p-adic valuation e among the
+    residues ``col`` mod ``mod`` = p^k, and p^e, which is ``mod`` when the
+    column is zero.  gcd(x, p^k) is p^valuation(x), and p^k for x = 0."""
+    g = np.gcd(col, mod)
+    r = int(np.argmin(g))
+    return r, int(g[r])
 
 
-def _working_copy(mat, ncols: int, mod: int, tier, dtype, room: int = 0):
+def _working_copy(mat, ncols: int, mod: int, tier, dtype):
     """The non-zero rows of ``mat`` reduced mod ``mod``, in the kernel's
-    dtype, followed by ``room`` zero rows.  Zero rows go before the
-    conversion, and this is the only full-size copy the kernel makes.
-    Python-int input to the exact int64 tier is narrowed only after the
-    reduction."""
+    dtype.  Zero rows go before the conversion, and this is the only
+    full-size copy the kernel makes.  Python-int input to the exact int64
+    tier is narrowed only after the reduction."""
     A = np.asarray(mat)
     if not (A.dtype == object and tier in (object, EXACT_INT64)):
         A = A.astype(object if tier is object else np.int64, copy=False)
     if A.ndim != 2 or (len(A) and A.shape[1] != ncols):
         raise ValueError("matrix shape does not match ncols")
     keep = np.flatnonzero(np.any(A, axis=1))
-    M = np.zeros((len(keep) + room, ncols), dtype=dtype)
+    M = np.zeros((len(keep), ncols), dtype=dtype)
     for s in range(0, len(keep), _ROW_CHUNK):
         t = keep[s:s + _ROW_CHUNK]
         M[s:s + len(t)] = A[t] % mod
     return M
 
 
-def _eliminate(M, p: int, k: int, width: int, ops: _Ops):
+def _eliminate(M, mod: int, width: int, ops: _Ops):
     """Echelon rows of the span of M, as (H, pivot columns).
 
-    M holds the working rows, then ``width`` zero rows of room for the
-    appended rows, and is consumed in place.  Column j, and a pivot row
-    from column j on, is its ``A`` part less ``C`` times the finished pivot
-    rows ``U`` (module docstring).  Row i of H has its pivot p^e_i in
-    column cols[i] and zeros left of it; ``U`` is a view of H's rows.
+    M holds the working rows and is consumed in place.  Column j, and a
+    pivot row from column j on, is its ``A`` part less ``C`` times the
+    finished pivot rows ``U`` (module docstring).  Row i of H has its
+    pivot p^e_i in column cols[i] and zeros left of it; ``U`` is a view of
+    H's rows.
     """
-    mod = p**k
     red, mul, dot = ops.red, ops.mul, ops.dot
-    ncols = M.shape[1]
-    n = len(M) - width
+    n, ncols = M.shape
     H = np.zeros((ncols, ncols), dtype=M.dtype)
     cols: list[int] = []
     c0 = 0
     while c0 < ncols and n:
         w = min(width, ncols - c0)
-        A = M[:n + w, c0:]  # a row's entries less C[row] @ U are its current ones
+        A = M[:n, c0:]  # a row's entries less C[row] @ U are its current ones
         U = H[len(cols):len(cols) + w, c0:]  # the panel's finished pivot rows
-        C = np.zeros((n + w, w), dtype=M.dtype)
-        appended = npiv = 0
+        C = np.zeros((n, w), dtype=M.dtype)
+        npiv = 0
         for j in range(w):
             col = red(A[:, j] - dot(C[:, :npiv], U[:npiv, j]))
-            nz = np.flatnonzero(col)
-            if not len(nz):
+            r, pe = _pivot(col, mod)
+            if pe == mod:
                 continue
-            c = col[nz]
-            e, ri = _min_valuation(c, p, k)
-            r = int(nz[ri])
-            pe = p**e
-            inv = pow(int(c[ri]) // pe, -1, mod)
-            U[npiv, j:] = red(mul(red(A[r, j:] - dot(C[r, :npiv], U[:npiv, j:])), inv))
+            u = int(col[r]) // pe
+            U[npiv, j:] = red(mul(red(A[r, j:] - dot(C[r, :npiv], U[:npiv, j:])), pow(u, -1, mod)))
             cols.append(c0 + j)
-            # e is minimal among the non-zero entries, so the division is exact.
-            C[nz, npiv] = c // pe
-            A[r] = C[r] = 0
-            if e > 0:
-                A[n + appended, j:] = red(mul(U[npiv, j:], p ** (k - e)))
-                appended += 1
+            # p^e divides every entry of the column, so the division is exact.
+            C[:, npiv] = col // pe
+            # Row r is u * U[npiv] now and becomes (p^k / p^e) * U[npiv]:
+            # zero for a unit pivot, else the multiple that keeps the row
+            # set span-closed.
+            C[r, npiv] = (u - mod // pe) % mod
             npiv += 1
         touched = np.flatnonzero(np.any(C[:, :npiv], axis=1))
         for s in range(0, len(touched), _ROW_CHUNK):
             t = touched[s:s + _ROW_CHUNK]
             A[t, w:] = red(A[t, w:] - dot(C[t, :npiv], U[:npiv, w:]))
         # Move the non-zero rows up (keep[i] >= i, so no chunk reads a row
-        # that an earlier one wrote) and clear the room below them.
+        # that an earlier one wrote).
         keep = np.flatnonzero(np.any(A[:, w:], axis=1))
         for s in range(0, len(keep), _ROW_CHUNK):
             t = keep[s:s + _ROW_CHUNK]
             M[s:s + len(t), c0 + w:] = A[t, w:]
         n = len(keep)
-        M[n:n + width, c0 + w:] = 0
         c0 += w
     return H[:len(cols)], np.array(cols, dtype=np.intp)
 
@@ -381,7 +376,7 @@ def howell_span_rows(p: int, k: int, ncols: int, mat) -> list[np.ndarray]:
     mod = p**k
     tier, width = _arithmetic(mod)
     ops = _ops(tier, mod)
-    H, cols = _eliminate(_working_copy(mat, ncols, mod, tier, ops.dtype, width), p, k, width, ops)
+    H, cols = _eliminate(_working_copy(mat, ncols, mod, tier, ops.dtype), mod, width, ops)
     if not _ECHELON_ONLY.get():
         _reduce(H, H, cols, width, ops, above=True)
     return [row for row in H.astype(residue_dtype(mod), copy=False)]

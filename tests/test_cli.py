@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iwafit
 from iwafit import GroupRingSpec, Ideal, ParseError, const, delta, one, tvar
 from iwafit.cli import (
     _SPACE_RE,
@@ -375,3 +378,19 @@ def test_euler_data_path_may_contain_a_hash(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["--assume-nzd", "euler", str(path)]) == 0
     assert json.loads(capsys.readouterr().out.strip())["verdict"] == "equal"
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # The read end of the child's stdout pipe is closed before it starts.
+    paths = [str(Path(iwafit.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "iwafit.cli", "verify-paper"], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    err = done.stderr.decode()
+    assert done.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -13,7 +13,7 @@ import pytest
 import iwafit
 
 # The kernel's steps and its tier policy (which arithmetic, which panel).
-KERNEL_INTERNALS = {"_arithmetic", "_eliminate", "_ops", "_reduce", "_working_copy"}
+KERNEL_INTERNALS = {"_arithmetic", "_eliminate", "_ops", "_pivot", "_reduce", "_working_copy"}
 MODULES = sorted(p for p in Path(iwafit.__file__).parent.glob("*.py") if p.name != "linalg.py")
 
 

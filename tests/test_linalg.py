@@ -21,8 +21,8 @@ from iwafit.linalg import (
     PANEL,
     CoeffMatrix,
     _arithmetic,
-    _min_valuation,
     _ops,
+    _pivot,
     echelon_span_rows,
     howell_form,
     howell_span_rows,
@@ -121,8 +121,8 @@ def structured_rows(seed, p, k, nrows, ncols):
 
     Most rows combine up to three staircase rows, each a pivot p^e * unit
     with zeros to its left.  The staircase includes the last two columns of
-    every panel, so a non-unit pivot there appends its p^(k-e) row across
-    the panel boundary.  The rest are zero rows, duplicates of earlier rows
+    every panel, so a non-unit pivot there leaves its row, now p^(k-e) times
+    the pivot row, to cross the panel boundary.  The rest are zero rows, duplicates of earlier rows
     and dense random rows.
     """
     rnd = random.Random(seed)
@@ -297,8 +297,9 @@ def test_kernel_near_mod_at_tier_bounds(p, tier):
 
 
 def first_least_valuation(vals, p, k):
-    """The loop ``_min_valuation`` replaced: the first index of each
-    valuation e = 0, 1, ... in turn."""
+    """The referee for ``_pivot``: (e, i) with i the first index of least
+    valuation e, trying e = 0, 1, ... in turn; None when every value is
+    zero."""
     for e in range(k):
         hit = [i for i, v in enumerate(vals) if v % p ** (e + 1)]
         if hit:
@@ -307,29 +308,43 @@ def first_least_valuation(vals, p, k):
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
 @pytest.mark.parametrize("p,k", [(3, 4), (2, 1), (5, 3)])
-def test_min_valuation_takes_the_first_least(p, k, dtype):
+def test_pivot_takes_the_first_least(p, k, dtype):
     mod = p**k
     top = p ** (k - 1)
     rnd = random.Random(mod)
-    cases = [[p ** rnd.randrange(k) * rnd.choice([1, mod - 1, 1 + p * rnd.randrange(top)]) % mod
+    cases = [[0 if rnd.random() < 0.3 else
+              p ** rnd.randrange(k) * rnd.choice([1, mod - 1, 1 + p * rnd.randrange(top)]) % mod
               for _ in range(rnd.randint(1, 8))] for _ in range(50)]
     if (p, k) == (3, 4):
-        # valuation k - 1 alone and tied, ties at a lower valuation, a unit
-        cases += [[27], [54, 27], [54, 9, 18, 27], [27, 80, 1]]
+        # valuation k - 1 alone among zeros and tied, ties at a lower
+        # valuation, a unit, and a zero column
+        cases += [[0, 27, 0], [0, 54, 27], [54, 9, 0, 18, 27], [27, 0, 80, 1], [0, 0, 0]]
     for vals in cases:
-        got = _min_valuation(np.array(vals, dtype=dtype), p, k)
-        assert got == first_least_valuation(vals, p, k)
+        got = _pivot(np.array(vals, dtype=dtype), mod)
+        found = first_least_valuation(vals, p, k)
+        assert got == ((found[1], p ** found[0]) if found else (0, mod))
         assert all(type(x) is int for x in got)
     if (p, k) == (3, 4):
-        assert [_min_valuation(np.array(v, dtype=dtype), p, k) for v in cases[-4:]] == \
-            [(3, 0), (3, 0), (2, 1), (0, 1)]
+        assert [_pivot(np.array(v, dtype=dtype), mod) for v in cases[-5:]] == \
+            [(1, 27), (1, 27), (1, 9), (2, 1), (0, 81)]
 
 
-def test_min_valuation_of_python_ints():
+def test_pivot_of_python_ints():
     p, k = 3, 70
-    vals = np.array([3**69, 2 * 3**69, 5 * 3**40, 3**40, 7 * 3**41], dtype=object)
-    assert _min_valuation(vals, p, k) == (40, 2)
-    assert _min_valuation(vals[:2], p, k) == (69, 0)
+    vals = np.array([0, 3**69, 2 * 3**69, 5 * 3**40, 3**40, 7 * 3**41], dtype=object)
+    assert _pivot(vals, p**k) == (3, 3**40)
+    assert _pivot(vals[:3], p**k) == (1, 3**69)
+    assert _pivot(vals[:1], p**k) == (0, p**k)
+
+
+@pytest.mark.parametrize("k,tier", [(2, np.float64), (16, EXACT_INT64), (30, object)])
+def test_pivot_row_becomes_its_own_multiple(k, tier):
+    """The second pivot comes only from the first pivot row's p^(k-1)
+    multiple, which the row itself turns into."""
+    assert _arithmetic(3**k)[0] is tier
+    for form in (howell_span_rows, echelon_span_rows):
+        rows = form(3, k, 2, [[3, 1]])
+        assert [[int(x) for x in r] for r in rows] == [[3, 1], [0, 3 ** (k - 1)]]
 
 
 def test_exact_tier_reduces_wide_input_first():
