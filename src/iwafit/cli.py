@@ -31,8 +31,6 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .apps import DecompositionData, euler_factor_closed, euler_factor_direct
 from .complexes import RingMatrix, matrix_from_rows
 from .errors import IwafitError, ParseError, PrecisionError, SpecMismatchError
@@ -81,15 +79,6 @@ def spec_json(spec: GroupRingSpec | None):
 
 def ideal_generators_text(I: Ideal) -> list[str]:
     return texts_by_degree(I.spec, I.canonical.rows)
-
-
-def element_texts_sorted(elems) -> list[str]:
-    """Texts ordered by (lowest total degree of a non-zero delta/T
-    monomial, text); the elements are printed as one stack."""
-    elems = list(elems)
-    if not elems:
-        return []
-    return texts_by_degree(elems[0].spec, np.stack([x.coeffs for x in elems]))
 
 
 # The command-line walkers visit only the brackets; the text between them

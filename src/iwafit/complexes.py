@@ -67,14 +67,14 @@ class RingMatrix(ArrayValue):
             raise SpecMismatchError("matrices live on different specs")
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions differ")
+        mod = self.spec.modulus
         out = _zeros(self.spec, self.nrows, other.ncols)
         # Row i of the product is the sum over t of other's row t times the
         # entry (i, t): a coefficient row y times multiplication_rows(x) is
         # the coefficient row of x * y.
-        for i, t in zip(*np.nonzero(self.coeffs.any(axis=2))):
-            out[i] = (out[i] + other.coeffs[t] @ multiplication_rows(self.at(i, t))) \
-                % self.spec.modulus
-        return RingMatrix(self.spec, out)
+        i, t = np.nonzero(self.coeffs.any(axis=2))
+        np.add.at(out, i, other.coeffs[t] @ multiplication_rows(self.spec, self.coeffs[i, t]) % mod)
+        return RingMatrix(self.spec, out % mod)
 
     def is_zero(self) -> bool:
         return not np.any(self.coeffs)

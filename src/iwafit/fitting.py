@@ -77,8 +77,8 @@ def _minors_by_size(h: RingMatrix, jmin: int) -> list[np.ndarray]:
     columns = []
     for c in range(b):
         rows = np.flatnonzero(nonzero[:, c])
-        mats = [multiplication_rows(h.at(i, c)) for i in rows]
-        columns.append((rows, np.concatenate(mats, axis=1) if mats else None))
+        mats = multiplication_rows(spec, h.coeffs[rows, c])
+        columns.append((rows, mats.transpose(1, 0, 2).reshape(B, -1)))
 
     dets, sets, last = seed, np.zeros(1, np.int64), np.full(1, -1)
     masks = np.zeros(1, dtype=bits.dtype)
@@ -93,7 +93,7 @@ def _minors_by_size(h: RingMatrix, jmin: int) -> list[np.ndarray]:
         for c in range(b - max(jmin - depth, 1) + 1):
             rows, mats = columns[c]
             sel = np.flatnonzero(last < c)
-            if mats is None or not len(sel):
+            if not len(rows) or not len(sel):
                 continue
             prods = (dets[sel] @ mats).reshape(len(sel), len(rows), B)
             # Pairs (parent, row) with the row outside the parent's mask, in

@@ -11,7 +11,7 @@ Every change of coordinates that acts one axis at a time (the ring
 homomorphisms, the parser's tau basis and the CRT blocks of ``ideals``) is
 ``along_axes``: one (r_out, r_in) matrix per axis of the coefficient
 tensor, of shape ``spec.radices`` (or a stack of such tensors, behind
-leading axes), in ``residue_dtype(p^k, inner=r_in)``.
+leading axes), in a dtype sized by r_in and the matrix's largest entry.
 Homomorphism images are cast to the target spec's dtype.
 """
 
@@ -284,20 +284,20 @@ def mul(x: RingElement, y: RingElement) -> RingElement:
     return RingElement(spec, acc[:B] % spec.modulus)
 
 
-def multiplication_rows(x: RingElement) -> np.ndarray:
-    """(size, size) matrix whose i-th row holds the coefficients of x * b_i.
+def multiplication_rows(spec: GroupRingSpec, coeffs: np.ndarray) -> np.ndarray:
+    """(..., size, size) matrices of the elements x with coefficient rows
+    ``coeffs`` (..., size): row i of x's matrix holds the coefficients of x * b_i.
 
     The rows span the ideal (x) as a Z/p^k-module, since every ring element
     is a Z/p^k-combination of basis monomials b_i.
     """
-    spec = x.spec
     B = spec.size
     table = _mul_table(spec)
-    out = np.zeros((B, B + 1), dtype=spec.dtype())
+    out = np.zeros(coeffs.shape[:-1] + (B, B + 1), dtype=spec.dtype())
     # Multiplication by a fixed monomial is injective on the monomials that
     # survive truncation, so index collisions only happen in the drop bucket.
-    out[np.arange(B)[:, None], table] = x.coeffs[None, :]
-    return out[:, :B]
+    out[..., np.arange(B)[:, None], table] = coeffs[..., None, :]
+    return out[..., :B]
 
 
 def norm_element(spec: GroupRingSpec, subset=None) -> RingElement:
@@ -414,9 +414,9 @@ def along_axes(spec: GroupRingSpec, coeffs: np.ndarray, mats) -> np.ndarray:
     ``coeffs`` has shape ``(..., spec.size)``: leading axes index a stack
     of elements, each transformed alike, and the result has shape
     ``(..., *radices_out)``.  Axes past ``len(mats)`` are left alone.  Each
-    product sums r_in terms, so matrix and tensor are cast to
-    ``residue_dtype(p^k, inner=r_in)``, once per call; the result is in the
-    dtype of the last matrix applied.
+    product sums r_in residues times matrix entries, so both are cast to
+    ``residue_dtype(p^k, r_in, factor)``, factor the matrix's largest entry;
+    the result is in the dtype of the last matrix applied.
     """
     mod = spec.modulus
     batch = coeffs.ndim - 1
@@ -424,7 +424,7 @@ def along_axes(spec: GroupRingSpec, coeffs: np.ndarray, mats) -> np.ndarray:
     for axis, mat in enumerate(mats, start=batch):
         if mat is None:
             continue
-        dtype = residue_dtype(mod, inner=mat.shape[1])
+        dtype = residue_dtype(mod, mat.shape[1], factor=int(mat.max()))
         a = np.tensordot(mat.astype(dtype, copy=False), a.astype(dtype, copy=False),
                          axes=([1], [axis]))
         a = np.moveaxis(a, 0, axis) % mod

@@ -21,10 +21,10 @@ before any multiplication matrix is built; its multiplication rows are
 sum_a kron(X_a, multiplication_rows(g_a)) over the monomials x^a of the
 quotients, X_a the multiplication by x^a, which is
 ``multiplication_rows`` of pi_b(g) itself when every F_j is linear.  The
-reductions are one ``groupring.along_axes`` call per element, with the
-transposed CRT matrix on each split axis.  A block ring need not be
-local: the block of two quadratic factors of x^4 - 1 mod 3 is
-F_9 (x) F_9 = F_9 x F_9 modulo 3.
+reductions are one ``groupring.along_axes`` call on the stacked
+generators, with the transposed CRT matrix on each split axis.  A block
+ring need not be local: the block of two quadratic factors of x^4 - 1
+mod 3 is F_9 (x) F_9 = F_9 x F_9 modulo 3.
 
 ``Ideal.key`` holds, per block, the echelon form of pi_b(I) that the
 kernel's elimination leaves before back-substitution
@@ -111,12 +111,6 @@ def _distinct_nonzero_positions(arrays) -> list[int]:
     return out
 
 
-def distinct_nonzero(elements) -> list[RingElement]:
-    """The non-zero elements, each coefficient vector kept once, in order."""
-    elements = list(elements)
-    return [elements[i] for i in _distinct_nonzero_positions([x.coeffs for x in elements])]
-
-
 def _nonzero_rows(rows: np.ndarray) -> np.ndarray:
     """Drop the zero rows of a multiplication matrix (the products that
     T-truncation kills); ``rows`` itself, not a copy, when there are none."""
@@ -159,47 +153,53 @@ def _split(spec: GroupRingSpec) -> _Split:
 
 
 def _block_images(spec: GroupRingSpec, split: _Split, coeffs: np.ndarray) -> list[np.ndarray]:
-    """pi_b of the element of ``spec`` with these coefficients, for every
-    block b of ``split`` in order, each as an (n_1, ..., n_S, rest size)
-    array: n_i is the degree of the block's factor on the i-th split axis."""
+    """pi_b of the elements of ``spec`` with coefficients ``coeffs`` (..., size)
+    for every block b of ``split`` in order, each as a (..., n_1, ..., n_S,
+    rest size) array: n_i is the degree of the block's factor on split axis i."""
     mats = [None] * spec.s
     for axis, mat in zip(split.axes, split.crt):
         mats[axis] = mat.T
-    a = np.moveaxis(along_axes(spec, coeffs, mats), split.axes, range(len(split.axes)))
-    a = a.reshape(a.shape[:len(split.axes)] + (split.rest.size,))
-    dtype = split.rest.dtype()
-    return [np.ascontiguousarray(a[tuple(slice(off, off + n) for off, n in block)], dtype=dtype)
+    lead, S = coeffs.ndim - 1, len(split.axes)
+    a = np.moveaxis(along_axes(spec, coeffs, mats), [lead + axis for axis in split.axes],
+                    range(lead, lead + S))
+    a = a.reshape(a.shape[:lead + S] + (split.rest.size,))
+    return [np.ascontiguousarray(a[(...,) + tuple(slice(off, off + n) for off, n in block)
+                                   + (slice(None),)], dtype=split.rest.dtype())
             for block in split.blocks]
 
 
-def _block_rows(split: _Split, block, image: np.ndarray) -> np.ndarray:
-    """The multiplication matrix of a block image: row (u, b) holds
+def _block_rows(split: _Split, block, images: np.ndarray) -> np.ndarray:
+    """The multiplication matrices of a stack of block images (n, n_1, ...,
+    n_S, rest size), one under the other: row (u, b) of pi_b(g)'s holds
     pi_b(g) * x^u * b in the block basis x^v * c, with u, v the monomials of
     the split-axis quotients and b, c those of the rest."""
     rest = split.rest
-    if image.shape[:-1] == (1,) * len(block):
-        return multiplication_rows(RingElement(rest, image.reshape(rest.size)))
-    mod, dtype = rest.modulus, rest.dtype()
-    out = np.zeros((math.prod(image.shape[:-1]) * rest.size,) * 2, dtype=dtype)
-    for a in np.ndindex(image.shape[:-1]):
-        if not np.any(image[a]):
+    shape = images.shape[1:-1]
+    if shape == (1,) * len(block):
+        return multiplication_rows(rest, images.reshape(-1, rest.size)).reshape(-1, rest.size)
+    mod, dtype, U = rest.modulus, rest.dtype(), math.prod(shape)
+    out = np.zeros((len(images), U, rest.size, U, rest.size), dtype=dtype)
+    for a in np.ndindex(shape):
+        part = images[(slice(None),) + a]
+        if not np.any(part):
             continue
         # Row u of the multiplication by x^a_i modulo F is x^(u + a_i) mod
         # F, and F divides x^m - 1.
         X = reduce(np.kron, (mat[(np.arange(n) + ai) % len(mat), off:off + n]
                              for mat, (off, n), ai in zip(split.crt, block, a)))
-        term = np.kron(X.astype(dtype), multiplication_rows(RingElement(rest, image[a])))
-        out = (out + term) % mod
-    return out
+        # kron(X, M) for the multiplication matrix M of every image at once.
+        M = multiplication_rows(rest, part)[:, None, :, None, :]
+        out = (out + X.astype(dtype)[None, :, None, :, None] * M) % mod
+    return out.reshape(-1, U * rest.size)
 
 
-def _t_degrees(rest: GroupRingSpec, images) -> list[int] | None:
+def _t_degrees(rest: GroupRingSpec, images: np.ndarray) -> np.ndarray | None:
     """The T_d-degree of each block image, T_d the last T variable of
     ``rest``; None unless every image has exactly one non-zero T_d-slice."""
-    if rest.d < 1 or not images:
+    if rest.d < 1 or not len(images):
         return None
-    slices = [np.flatnonzero((img.reshape(-1, rest.N) != 0).any(axis=0)) for img in images]
-    return [int(e[0]) for e in slices] if all(len(e) == 1 for e in slices) else None
+    slices = (images.reshape(len(images), -1, rest.N) != 0).any(axis=1)
+    return slices.argmax(axis=1) if (slices.sum(axis=1) == 1).all() else None
 
 
 def _block_width(split: _Split, block) -> int:
@@ -218,12 +218,12 @@ def _graded_rows(span, split: _Split, block, images, degrees) -> np.ndarray:
     sub = split._replace(rest=S)
     width = _block_width(sub, block)
     # J_e is J_(e') plus the generators of degree e, e' the degree before.
+    slices = images.reshape(images.shape[:-1] + (S.size, N))
     forms, H = [], np.zeros((0, width), dtype)
-    for e in sorted(set(degrees)):
-        stack = [H] + [_nonzero_rows(_block_rows(sub, block, np.ascontiguousarray(
-            img.reshape(img.shape[:-1] + (S.size, N))[..., e], dtype=S.dtype())))
-            for img, d in zip(images, degrees) if d == e]
-        H = np.array(span(rest.p, rest.k, width, np.vstack(stack)), dtype)
+    for e in np.unique(degrees).tolist():
+        new = np.ascontiguousarray(slices[degrees == e, ..., e], dtype=S.dtype())
+        stack = np.vstack([H, _nonzero_rows(_block_rows(sub, block, new))])
+        H = np.array(span(rest.p, rest.k, width, stack), dtype)
         forms.append((e, H))
     # J_e is the last form up to degree N - 1; column (j, e) of the block is
     # j * N + e.
@@ -283,8 +283,7 @@ class Ideal:
                     images = self._generator_images(split)
                     widths = [_block_width(split, block) for block in split.blocks]
                     self._key_generators = tuple(
-                        np.array([img.reshape(-1) for img in imgs], split.rest.dtype())
-                        .reshape(-1, n) for imgs, n in zip(images, widths))
+                        imgs.reshape(-1, n) for imgs, n in zip(images, widths))
                     if not split.axes and self._canonical is not None:
                         self._key = (self._canonical,)
                     else:
@@ -293,13 +292,13 @@ class Ideal:
                             zip(self._block_forms(split, images, echelon_span_rows), widths))
         return self._key
 
-    def _generator_images(self, split: _Split) -> list[list[np.ndarray]]:
+    def _generator_images(self, split: _Split) -> list[np.ndarray]:
         """Per block of ``split``, the distinct non-zero images of the
-        generators."""
-        images = [_block_images(self.spec, split, g.coeffs)
-                  for g in distinct_nonzero(self.generators)]
-        per_block = [[img[b] for img in images] for b in range(len(split.blocks))]
-        return [[imgs[i] for i in _distinct_nonzero_positions(imgs)] for imgs in per_block]
+        generators as one stack, in generator order."""
+        spec = self.spec
+        coeffs = np.array([g.coeffs for g in self.generators], spec.dtype()).reshape(-1, spec.size)
+        return [imgs[_distinct_nonzero_positions(imgs)]
+                for imgs in _block_images(spec, split, coeffs)]
 
     def _block_forms(self, split: _Split, images, span) -> list:
         """The rows of each block's form, computed by the kernel call
@@ -311,12 +310,13 @@ class Ideal:
         forms = []
         for block, block_images in zip(split.blocks, images):
             degrees = _t_degrees(split.rest, block_images)
-            if degrees:
+            if degrees is not None:
                 rows = _graded_rows(span, split, block, block_images, degrees)
-            else:
-                stack = [_nonzero_rows(_block_rows(split, block, img)) for img in block_images]
+            elif len(block_images):
                 rows = span(spec.p, spec.k, _block_width(split, block),
-                            np.vstack(stack)) if stack else ()
+                            _nonzero_rows(_block_rows(split, block, block_images)))
+            else:
+                rows = ()
             forms.append(rows)
         return forms
 

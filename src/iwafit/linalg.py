@@ -123,11 +123,13 @@ def _is_prime(n: int) -> bool:
     return all(n % q for q in range(2, int(n**0.5) + 1))
 
 
-def residue_dtype(mod: int, inner: int = 1):
-    """Storage dtype for residues mod ``mod`` whose pairwise products are
-    summed ``inner`` at a time: int64 while mod^2 * inner < 2^62, else
-    Python ints (object)."""
-    return np.int64 if mod * mod * max(inner, 1) < 2**62 else object
+def residue_dtype(mod: int, inner: int = 1, factor: int | None = None):
+    """Storage dtype for residues mod ``mod`` whose products with factors
+    up to ``factor`` (default mod - 1, another residue) are summed ``inner``
+    at a time: int64 while mod * factor * inner < 2^62, else Python ints
+    (object)."""
+    factor = mod - 1 if factor is None else factor
+    return np.int64 if mod * factor * max(inner, 1) < 2**62 else object
 
 
 # The tier of ``_arithmetic`` that stores int64 residues and reduces every

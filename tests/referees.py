@@ -9,11 +9,12 @@ the minors of ``iwafit.fitting._minors_by_size`` and their order;
 ``char_eval_naive`` walks the group monomials one at a time, the referee
 for ``iwafit.groupring.char_eval``; ``stacked_canonical`` and
 ``stacked_key`` take one Howell pass over every block row of every
-generator, the referees for ``Ideal.canonical`` and, through
-``back_substituted``, for ``Ideal.key`` on ideals generated by
-T_d-homogeneous elements.  ``Ideal.key`` holds echelon forms, which are not
-unique; back-substituting one by the kernel's own step gives the unique
-Howell form, so a key block is held to the referee's block that way.
+generator (``distinct_nonzero`` keeps each non-zero generator once), the
+referees for ``Ideal.canonical`` and, through ``back_substituted``, for
+``Ideal.key`` on ideals generated by T_d-homogeneous elements.
+``Ideal.key`` holds echelon forms, which are not unique; back-substituting
+one by the kernel's own step gives the unique Howell form, so a key block
+is held to the referee's block that way.
 ``per_element_generator_texts`` prints an ideal's canonical generators
 one element at a time, the referee for ``iwafit.cli.ideal_generators_text``;
 ``split_top_level_by_chars`` and ``closing_paren_by_chars`` walk a command
@@ -48,7 +49,6 @@ from iwafit.ideals import (
     _block_rows,
     _distinct_nonzero_positions,
     _split,
-    distinct_nonzero,
     unit_ideal,
     zero_ideal,
 )
@@ -265,11 +265,17 @@ def char_eval_naive(chi: Character, x: RingElement) -> CyclotomicElement:
     return CyclotomicElement(mod, e, out)
 
 
+def distinct_nonzero(elements) -> list[RingElement]:
+    """The non-zero elements, each coefficient vector kept once, in order."""
+    elements = list(elements)
+    return [elements[i] for i in _distinct_nonzero_positions([x.coeffs for x in elements])]
+
+
 def stacked_canonical(I: Ideal) -> CoeffMatrix:
     """The Howell form of the stacked multiplication matrices of the
     distinct non-zero generators, whatever their T-degrees."""
     spec = I.spec
-    stack = [multiplication_rows(g) for g in distinct_nonzero(I.generators)]
+    stack = [multiplication_rows(spec, g.coeffs) for g in distinct_nonzero(I.generators)]
     rows = howell_span_rows(spec.p, spec.k, spec.size, np.vstack(stack)) if stack else ()
     return CoeffMatrix(spec.p, spec.k, spec.size, tuple(rows))
 
@@ -287,7 +293,7 @@ def stacked_key(I: Ideal) -> tuple[CoeffMatrix, ...]:
     for b, block in enumerate(split.blocks):
         ncols = split.rest.size * math.prod(n for _, n in block)
         block_images = [img[b] for img in images]
-        stack = [_block_rows(split, block, block_images[i])
+        stack = [_block_rows(split, block, block_images[i][None])
                  for i in _distinct_nonzero_positions(block_images)]
         rows = howell_span_rows(spec.p, spec.k, ncols, np.vstack(stack)) if stack else ()
         forms.append(CoeffMatrix(spec.p, spec.k, ncols, tuple(rows)))

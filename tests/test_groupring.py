@@ -1,7 +1,7 @@
 """Ring arithmetic, homomorphisms and characters of the truncated group ring."""
 
 from itertools import product
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from iwafit import (
     zero,
 )
 from iwafit.groupring import along_axes, multiplication_rows
+from iwafit.linalg import residue_dtype
 
 from conftest import random_element
 from referees import char_eval_naive
@@ -269,6 +270,25 @@ def test_along_axes_on_a_stack_matches_each_row(name, rng):
         assert empty.shape == (0,) + rows[0].shape and empty.dtype == rows[0].dtype
 
 
+def test_along_axes_sizes_the_dtype_by_the_largest_entry(rng):
+    """Mod 3^21 a matrix of binomials (entries <= 70, like the printer's
+    tau-basis change) is applied in int64, a matrix with an entry p^k - 1
+    in Python ints; both give the Python-int values, on maximal entries too."""
+    spec = GroupRingSpec(3, 21, (9,), 1, 2)
+    mod = spec.modulus
+    assert residue_dtype(mod, 9, factor=70) is np.int64
+    assert residue_dtype(mod, 9) is object
+    binomials = np.array([[comb(b, i) for b in range(9)] for i in range(9)], dtype=object)
+    near = binomials.copy()
+    near[0, 8] = mod - 1
+    top = np.full(spec.size, mod - 1, dtype=object)
+    for coeffs in (random_element(spec, rng).coeffs, top):
+        for mat, dtype in ((binomials, np.int64), (near, object)):
+            got = along_axes(spec, coeffs, [mat])
+            assert got.dtype == dtype
+            assert np.array_equal(got, along_axes_naive(spec, coeffs, [mat]))
+
+
 def test_gamma_twist_multiplicative_below_truncation(rng):
     # the T-substitution is an exact hom of the untruncated ring, so the
     # hom property holds whenever the product stays below T-degree N
@@ -360,10 +380,40 @@ def test_multiplication_rows_agree_with_mul(rng):
     spec = GroupRingSpec(3, 2, (3, 2), 1, 3)
     for _ in range(10):
         x = random_element(spec, rng)
-        rows = multiplication_rows(x)
+        rows = multiplication_rows(spec, x.coeffs)
         for i in range(spec.size):
             basis = from_vector(spec, np.eye(spec.size, dtype=np.int64)[i])
             assert from_vector(spec, rows[i]) == mul(x, basis)
+
+
+MUL_ROWS_SPECS = {
+    "int64": GroupRingSpec(3, 2, (3, 2), 1, 3),
+    "k21-object": GroupRingSpec(3, 21, (3,), 1, 2),
+    "trivial": GroupRingSpec(5, 3, (), 2, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUL_ROWS_SPECS))
+def test_multiplication_rows_of_a_stack_match_each_row(name, rng):
+    """Stacks of shape (0, B), (n, B) and (2, 3, B), with zero and repeated
+    rows: each matrix is that row's alone, whose row i is x * b_i."""
+    spec = MUL_ROWS_SPECS[name]
+    B = spec.size
+    xs = [random_element(spec, rng) for _ in range(3)]
+    xs += [zero(spec), xs[0], tvar(spec, 1), xs[2]]
+    basis = [from_vector(spec, row) for row in np.eye(B, dtype=np.int64)]
+    alone = [multiplication_rows(spec, x.coeffs) for x in xs]
+    for x, rows in zip(xs, alone):
+        assert rows.shape == (B, B) and rows.dtype == spec.dtype()
+        assert all(from_vector(spec, row) == mul(x, b) for row, b in zip(rows, basis))
+    stack = np.stack([x.coeffs for x in xs])
+    got = multiplication_rows(spec, stack)
+    assert got.shape == (len(xs), B, B) and got.dtype == spec.dtype()
+    assert all(np.array_equal(g, rows) for g, rows in zip(got, alone))
+    square = multiplication_rows(spec, stack[:6].reshape(2, 3, B))
+    assert square.shape == (2, 3, B, B) and np.array_equal(square.reshape(6, B, B), got[:6])
+    empty = multiplication_rows(spec, stack[:0])
+    assert empty.shape == (0, B, B) and empty.dtype == spec.dtype()
 
 
 def test_cyclotomic_polynomials():

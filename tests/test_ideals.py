@@ -33,7 +33,7 @@ from iwafit import (
     zero_ideal,
 )
 from iwafit.groupring import _pmul, _pxgcd, crt_factors
-from iwafit.ideals import _block_images, _split, nzd_status
+from iwafit.ideals import _block_images, _block_rows, _block_width, _split, nzd_status
 from iwafit.linalg import member
 
 from conftest import random_element
@@ -184,7 +184,7 @@ def test_canonical_form_without_zero_rows_matches_full_stack(rng):
         t = tvar(spec, 1)
         gens = [random_element(spec, rng) * t**2, t**3, random_element(spec, rng) * t]
         I = Ideal(spec, gens)
-        full = np.vstack([multiplication_rows(g) for g in gens])
+        full = np.vstack([multiplication_rows(spec, g.coeffs) for g in gens])
         assert not np.all(np.any(full != 0, axis=1))
         rows = howell_span_rows(spec.p, spec.k, spec.size, full)
         assert len(I.canonical.rows) == len(rows)
@@ -262,6 +262,40 @@ def test_block_key_matches_canonical(name):
         assert I.contains(y) and canonical_contains(I, y)
 
     check()
+
+
+def block_rows_by_mul(spec, split, b, x):
+    """The multiplication matrix of pi_b(x) one row at a time: row (u, c)
+    is pi_b(x * delta^u * c), delta^u the monomial with exponent u_i on the
+    i-th split axis and c a monomial of the rest, since pi_b(delta^u) is
+    x^u for u below the degrees of the block's factors."""
+    rest = split.rest
+    rows = []
+    for u in np.ndindex(tuple(n for _, n in split.blocks[b])):
+        for c in range(rest.size):
+            others = iter(rest.exps_of(c))
+            exps = tuple(u[split.axes.index(axis)] if axis in split.axes else next(others)
+                         for axis in range(spec.s + spec.d))
+            m = from_vector(spec, np.eye(1, spec.size, spec.index_of(exps), dtype=np.int64)[0])
+            rows.append(_block_images(spec, split, mul(x, m).coeffs)[b].reshape(-1))
+    return np.array(rows, dtype=object)
+
+
+@pytest.mark.parametrize("name", ["p3-m4-partial", "p5-two-axes", "p3-m4-k21-object"])
+def test_block_rows_of_a_stack_match_each_image(name, rng):
+    """One ``_block_rows`` call on a stack of block images, zero and
+    repeated images included, gives each image's matrix, one under the
+    other, on linear and non-linear blocks; an empty stack gives no rows."""
+    spec = SPLIT_SPECS[name]
+    split = _split(spec)
+    xs = [random_element(spec, rng) for _ in range(3)]
+    xs += [zero(spec), xs[1], delta(spec, 1) - one(spec)]
+    images = _block_images(spec, split, np.stack([x.coeffs for x in xs]))
+    for b, (block, stack) in enumerate(zip(split.blocks, images)):
+        got = _block_rows(split, block, stack)
+        assert got.dtype == split.rest.dtype()
+        assert np.array_equal(got, np.vstack([block_rows_by_mul(spec, split, b, x) for x in xs]))
+        assert _block_rows(split, block, stack[:0]).shape == (0, _block_width(split, block))
 
 
 def test_block_count():

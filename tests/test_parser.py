@@ -140,8 +140,9 @@ from hypothesis import settings
 
 import numpy as np
 
-from iwafit import cli, from_vector
-from iwafit.parser import _Parser, texts_by_degree
+from iwafit import from_vector
+from iwafit.groupring import along_axes
+from iwafit.parser import _Parser, _tables, texts_by_degree
 
 _FAST_SPECS = (
     GroupRingSpec(3, 3, (3, 9), 2, 4),  # the ``spec`` fixture: int64 residues
@@ -354,4 +355,14 @@ def test_element_texts_sorted_keeps_the_degree_order(spec, rng):
     if spec.s:
         elems += [delta(spec, 1) * t1, delta(spec, 1) - one(spec), delta(spec, spec.s) ** 3]
     expected = [element_to_text(x) for x in sorted(elems, key=old_key)]
-    assert cli.element_texts_sorted(elems) == expected
+    assert texts_by_degree(spec, np.stack([x.coeffs for x in elems])) == expected
+
+
+def test_wide_modulus_texts_change_basis_in_int64(rng):
+    """Mod 3^21 the tau-basis change, whose entries are binomials <= 70, is
+    taken in int64, and the texts are the term-by-term referee's."""
+    spec = _FAST_SPECS[1]
+    elems = [random_element(spec, rng) for _ in range(6)] + [const(spec, -1), tvar(spec, 1) ** 2]
+    rows = np.stack([x.coeffs for x in elems])
+    assert along_axes(spec, rows, _tables(spec).to_tau).dtype == np.int64
+    assert texts_by_degree(spec, rows) == reference_texts_by_degree(elems)
