@@ -31,13 +31,35 @@ kernel's elimination leaves before back-substitution
 (``linalg.echelon_span_rows``), a ``linalg.CoeffMatrix`` like the
 canonical form; it has the Howell property, so it decides
 membership and gives the length L_b of pi_b(I), |pi_b(I)| = p^(L_b)
-(``linalg`` module docstring).  The rule: I = J iff in every block the
-lengths agree and each generator image pi_b(g) of I reduces to zero
-against J's form, since then pi_b(I) lies in pi_b(J) and both have the
-same number of elements.  x lies in I iff each pi_b(x) reduces to zero
-against I's form.  Both are exact statements about the images in the
-truncated ring, so a "false" verdict certifies exact inequality while a
-"true" verdict is evidence at the working precision.
+(``linalg`` module docstring).  The rule (``_block_equal``, the one
+per-block rule of ``ideal_equal`` and ``frac_equal``): pi_b(I) = pi_b(J)
+when both have the same distinct non-zero generator images, with no form
+computed; otherwise iff the lengths agree and each generator image
+pi_b(g) of I reduces to zero against J's form, since then pi_b(I) lies in
+pi_b(J) and both have the same number of elements.  A block's form is
+computed the first time a comparison needs it.  x lies in I iff each
+pi_b(x) reduces to zero against I's form.  Both are exact statements
+about the images in the truncated ring, so a "false" verdict certifies
+exact inequality while a "true" verdict is evidence at the working
+precision.
+
+``frac_equal`` compares g*I with f*J for I/f and J/g block by block,
+after cancelling units, by three facts about R_b:
+- a unit factor cancels: f_b * pi_b(J) = pi_b(J) when f_b is a unit;
+- a unit generator makes its block whole: pi_b(J) = R_b when some
+  pi_b(g) is a unit, and then f_b * pi_b(J) = (f_b);
+- the ideal (p, tau, T) of R_b is nilpotent, tau the delta - 1 of the p-power
+  axes of R' (delta^(p^a) = 1 makes tau^(p^a) divisible by p), so x is a
+  unit iff its residue modulo (p, tau, T) is one.  That residue sums the
+  T-degree-0 coefficients of x over the group monomials of R', mod p, an
+  element of the F_p-algebra F_p[x]/(F_j) over the split axes: on a linear
+  block one scalar, a unit iff non-zero, and on any other block a unit iff
+  its multiplication matrix over F_p is invertible, a test that holds on
+  non-local blocks such as F_9 x F_9 too (``_units``).
+On the Euler factors of ``apps``, (N_I, f)/f against (N', T')/T' with
+f = frob - q and N', T' the untwisted norm and T, f is a unit in most
+blocks; there f makes the closed numerator whole and N' vanishes, so both
+sides reduce to the image of T' and the block needs no form.
 
 The canonical form is the same construction for the one-block split
 ``_Split((), (), ((),), spec)``, with no split axis: its only block image
@@ -97,6 +119,11 @@ from .linalg import (
 )
 
 
+def _value_key(c: np.ndarray):
+    """A hashable key of an array's values, for arrays of one shape and dtype."""
+    return tuple(c.reshape(-1)) if c.dtype == object else c.tobytes()
+
+
 def _distinct_nonzero_positions(arrays) -> list[int]:
     """Positions of the non-zero arrays, each value kept once, in order."""
     seen = set()
@@ -104,7 +131,7 @@ def _distinct_nonzero_positions(arrays) -> list[int]:
     for i, c in enumerate(arrays):
         if not np.any(c):
             continue
-        key = tuple(c.reshape(-1)) if c.dtype == object else c.tobytes()
+        key = _value_key(c)
         if key not in seen:
             seen.add(key)
             out.append(i)
@@ -116,6 +143,11 @@ def _nonzero_rows(rows: np.ndarray) -> np.ndarray:
     T-truncation kills); ``rows`` itself, not a copy, when there are none."""
     keep = np.any(rows, axis=1)
     return rows if keep.all() else rows[keep]
+
+
+def _distinct_nonzero(stack: np.ndarray) -> np.ndarray:
+    """The non-zero arrays of a stack, each value kept once, in order."""
+    return stack[_distinct_nonzero_positions(stack)]
 
 
 class _Split(NamedTuple):
@@ -237,6 +269,56 @@ def _graded_rows(span, split: _Split, block, images, degrees) -> np.ndarray:
     return out[np.argsort(np.argmax(out != 0, axis=1))]
 
 
+def _block_form(span, split: _Split, block, images: np.ndarray) -> CoeffMatrix:
+    """The form of the block ideal spanned by a stack of images, computed
+    by the kernel call ``span``: one call per distinct T_d-degree over the
+    ring without T_d when every image is homogeneous in T_d
+    (``_graded_rows``), else one call on their stacked block rows."""
+    rest, width = split.rest, _block_width(split, block)
+    degrees = _t_degrees(rest, images)
+    if degrees is not None:
+        rows = _graded_rows(span, split, block, images, degrees)
+    elif len(images):
+        rows = span(rest.p, rest.k, width, _nonzero_rows(_block_rows(split, block, images)))
+    else:
+        rows = ()
+    return CoeffMatrix(rest.p, rest.k, width, rows)
+
+
+def _units(split: _Split, block, images: np.ndarray) -> np.ndarray:
+    """Which images of a stack (n, n_1, ..., n_S, rest size) are units of
+    the block ring.  (p, tau, T) is nilpotent there, tau the delta - 1 of
+    the rest's p-power axes, so x is a unit iff its residue modulo that
+    ideal is one.  The residue sums x's T-degree-0 coefficients over the
+    rest's group monomials, mod p: an element of F_p[x]/(F_j) over the
+    split axes, a unit iff its multiplication matrix over F_p is
+    invertible (one k = 1 kernel call), or iff it is non-zero on a linear
+    block."""
+    rest, p = split.rest, split.rest.p
+    shape = images.shape[:-1] + (rest.group_size, rest.size // rest.group_size)
+    residues = (images.reshape(shape)[..., 0] % p).sum(axis=-1) % p
+    if images.shape[1:-1] == (1,) * len(block):
+        return residues.reshape(len(images)) != 0
+    # The block rows of the residues over a rest with one coefficient mod p.
+    residue = split._replace(crt=tuple(c % p for c in split.crt), rest=GroupRingSpec(p, 1, (), 0, 1))
+    U = math.prod(n for _, n in block)
+    mats = _block_rows(residue, block, residues[..., None].astype(np.int64)).reshape(-1, U, U)
+    return np.array([len(howell_span_rows(p, 1, U, M)) == U for M in mats], dtype=bool)
+
+
+def _block_equal(X: np.ndarray, Y: np.ndarray, form_x, form_y) -> bool:
+    """Whether two ideals of one CRT block are equal, from stacks X and Y
+    of their distinct non-zero generator images and zero-argument calls
+    ``form_x`` and ``form_y`` returning their echelon forms: equal when X
+    and Y hold the same images, with no kernel call; else iff the forms
+    have the same length and X reduces to zero against Y's form, since then
+    X's ideal lies in Y's and both have the same number of elements."""
+    if len(X) == len(Y) and set(map(_value_key, X)) == set(map(_value_key, Y)):
+        return True
+    E, F = form_x(), form_y()
+    return E.length == F.length and spans(F, X.reshape(len(X), -1))
+
+
 class Ideal:
     """Finitely generated ideal of the truncated ring."""
 
@@ -248,10 +330,10 @@ class Ideal:
                 raise SpecMismatchError("generator does not live on the ideal's spec")
         self.generators = gens
         self._canonical = None
-        self._key = None
-        # Per CRT block, the distinct non-zero generator images as the rows
-        # of one matrix; set with the key.
-        self._key_generators = None
+        # Per CRT block of ``_split(spec)``: the distinct non-zero generator
+        # images as one stack, and the key's form by block index once computed.
+        self._images = None
+        self._forms = {}
         self._lock = threading.Lock()
 
     @property
@@ -264,61 +346,52 @@ class Ideal:
                     # unsplit ring.
                     spec = self.spec
                     split = _Split((), (), ((),), spec)
-                    rows, = self._block_forms(split, self._generator_images(split),
-                                              howell_span_rows)
-                    self._canonical = CoeffMatrix(spec.p, spec.k, spec.size, rows)
+                    block, = split.blocks
+                    images, = self._generator_images(split)
+                    self._canonical = _block_form(howell_span_rows, split, block, images)
         return self._canonical
 
     @property
     def key(self) -> tuple[CoeffMatrix, ...]:
         """Per CRT block in order, a ``CoeffMatrix`` of an echelon form
         with the Howell property (not unique: keys of equal ideals may
-        differ entrywise); ``ideal_equal`` and ``contains`` decide on it.
-        On a spec without a split axis, ``(self._canonical,)`` once that
-        Howell form is known."""
-        if self._key is None:
+        differ entrywise); ``ideal_equal`` and ``contains`` decide on it,
+        computing a block's form only when they need it.  On a spec without
+        a split axis, ``(self._canonical,)`` once that Howell form is
+        known."""
+        return tuple(self._block_key(b) for b in range(len(_split(self.spec).blocks)))
+
+    @property
+    def _block_generators(self) -> list[np.ndarray]:
+        """Per CRT block, the distinct non-zero generator images."""
+        if self._images is None:
             with self._lock:
-                if self._key is None:
-                    spec, split = self.spec, _split(self.spec)
-                    images = self._generator_images(split)
-                    widths = [_block_width(split, block) for block in split.blocks]
-                    self._key_generators = tuple(
-                        imgs.reshape(-1, n) for imgs, n in zip(images, widths))
+                if self._images is None:
+                    self._images = self._generator_images(_split(self.spec))
+        return self._images
+
+    def _block_key(self, b: int) -> CoeffMatrix:
+        """The key's form of block ``b``, computed on first use."""
+        form = self._forms.get(b)
+        if form is None:
+            images = self._block_generators
+            with self._lock:
+                form = self._forms.get(b)
+                if form is None:
+                    split = _split(self.spec)
                     if not split.axes and self._canonical is not None:
-                        self._key = (self._canonical,)
+                        form = self._canonical
                     else:
-                        self._key = tuple(
-                            CoeffMatrix(spec.p, spec.k, n, rows) for rows, n in
-                            zip(self._block_forms(split, images, echelon_span_rows), widths))
-        return self._key
+                        form = _block_form(echelon_span_rows, split, split.blocks[b], images[b])
+                    self._forms[b] = form
+        return form
 
     def _generator_images(self, split: _Split) -> list[np.ndarray]:
         """Per block of ``split``, the distinct non-zero images of the
         generators as one stack, in generator order."""
         spec = self.spec
         coeffs = np.array([g.coeffs for g in self.generators], spec.dtype()).reshape(-1, spec.size)
-        return [imgs[_distinct_nonzero_positions(imgs)]
-                for imgs in _block_images(spec, split, coeffs)]
-
-    def _block_forms(self, split: _Split, images, span) -> list:
-        """The rows of each block's form, computed by the kernel call
-        ``span`` from the block's generator images: one call per distinct
-        T_d-degree over the ring without T_d when every image is homogeneous
-        in T_d (``_graded_rows``), else one call on their stacked block
-        rows."""
-        spec = self.spec
-        forms = []
-        for block, block_images in zip(split.blocks, images):
-            degrees = _t_degrees(split.rest, block_images)
-            if degrees is not None:
-                rows = _graded_rows(span, split, block, block_images, degrees)
-            elif len(block_images):
-                rows = span(spec.p, spec.k, _block_width(split, block),
-                            _nonzero_rows(_block_rows(split, block, block_images)))
-            else:
-                rows = ()
-            forms.append(rows)
-        return forms
+        return [_distinct_nonzero(imgs) for imgs in _block_images(spec, split, coeffs)]
 
     def is_zero(self) -> bool:
         return self.canonical.nrows == 0
@@ -326,9 +399,8 @@ class Ideal:
     def contains(self, x: RingElement) -> bool:
         if x.spec != self.spec:
             raise SpecMismatchError("element does not live on the ideal's spec")
-        return all(spans(E, image.reshape(1, -1))
-                   for image, E in zip(_block_images(self.spec, _split(self.spec), x.coeffs),
-                                       self.key))
+        return all(spans(self._block_key(b), image.reshape(1, -1)) for b, image in
+                   enumerate(_block_images(self.spec, _split(self.spec), x.coeffs)))
 
     def __repr__(self):
         return f"Ideal({len(self.generators)} generators over {self.spec})"
@@ -348,13 +420,13 @@ def _check(I: Ideal, J: Ideal):
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    """I = J iff in every CRT block the two keys have the same length and
-    the generator images of I reduce to zero against J's key: I lies in J
-    and |I| = |J| in a finite ring.  False verdicts certify exact
-    inequality."""
+    """I = J iff they are equal in every CRT block (``_block_equal``): a
+    block where both have the same generator images needs no form, and any
+    other compares lengths and reduces I's images against J's form.  False
+    verdicts certify exact inequality."""
     _check(I, J)
-    return all(a.length == b.length for a, b in zip(I.key, J.key)) and all(
-        spans(E, gens) for E, gens in zip(J.key, I._key_generators))
+    return all(_block_equal(X, Y, lambda: I._block_key(b), lambda: J._block_key(b))
+               for b, (X, Y) in enumerate(zip(I._block_generators, J._block_generators)))
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -410,24 +482,51 @@ class FracVerdict(NamedTuple):
     certified_t_precision: int | None  # None on an unequal verdict
 
 
+def _side(split: _Split, block, f: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """The distinct non-zero generator images of f * I in one block, from
+    f's image and the stack of I's: I's when f is a unit, f's when some
+    generator is (I is then the whole block), else the products."""
+    if _units(split, block, f[None])[0]:
+        return gens
+    if _units(split, block, gens).any():
+        return _distinct_nonzero(f[None])
+    # pi_b(f * g) = pi_b(g) times pi_b(f)'s multiplication matrix.
+    mod, width = split.rest.modulus, _block_width(split, block)
+    dtype = residue_dtype(mod, width)
+    M = _block_rows(split, block, f[None]).astype(dtype)
+    products = (gens.reshape(-1, width).astype(dtype) @ M) % mod
+    return _distinct_nonzero(products.astype(split.rest.dtype()).reshape(gens.shape))
+
+
 def frac_equal(X: FractionalIdeal, Y: FractionalIdeal) -> FracVerdict:
     """Cross-multiplied comparison of fractional ideals.
 
-    For X = I/f and Y = J/g, compares g*I with f*J.  An equal verdict holds
-    at T-precision N - degT(f) - degT(g).  An unequal verdict is exact when
-    no truncated twist (``groupring.twist_hom`` with a gamma value other
-    than 1) went into either side; a truncated twist may lose p-adic
-    precision that nothing here accounts for, so an unequal verdict may
-    then reflect that loss (ROADMAP open item 1).
+    For X = I/f and Y = J/g, compares g*I with f*J one CRT block at a time,
+    after cancelling units there: a unit factor cancels (f_b * J_b = J_b),
+    and a unit generator makes its block ideal whole (f_b * J_b = (f_b)
+    when J_b holds one), exactly, in the truncated ring.  Units are found
+    modulo the nilpotent ideal (p, tau, T) (``_units``).  A block where the
+    two sides are then generated by the same images is equal with no kernel
+    call; any other is compared as ``ideal_equal`` compares a block.
+
+    An equal verdict holds at T-precision N - degT(f) - degT(g).  An
+    unequal verdict is exact when no truncated twist (``groupring.twist_hom``
+    with a gamma value other than 1) went into either side; a truncated
+    twist may lose p-adic precision that nothing here accounts for, so an
+    unequal verdict may then reflect that loss (ROADMAP open item 1).
     """
     if X.spec != Y.spec:
         raise SpecMismatchError("fractional ideals live on different specs")
-    lhs = scale_ideal(Y.denominator, X.numerator)
-    rhs = scale_ideal(X.denominator, Y.numerator)
-    if not ideal_equal(lhs, rhs):
-        return FracVerdict(False, None)
-    certified = X.spec.N - X.denominator.t_degree() - Y.denominator.t_degree()
-    return FracVerdict(True, certified)
+    spec, split = X.spec, _split(X.spec)
+    f, g = X.denominator, Y.denominator
+    dens = _block_images(spec, split, np.array([f.coeffs, g.coeffs], spec.dtype()))
+    for block, (f_b, g_b), A, B in zip(split.blocks, dens, X.numerator._block_generators,
+                                       Y.numerator._block_generators):
+        lhs, rhs = _side(split, block, g_b, A), _side(split, block, f_b, B)
+        if not _block_equal(lhs, rhs, lambda: _block_form(echelon_span_rows, split, block, lhs),
+                            lambda: _block_form(echelon_span_rows, split, block, rhs)):
+            return FracVerdict(False, None)
+    return FracVerdict(True, spec.N - f.t_degree() - g.t_degree())
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,8 @@ referees for ``Ideal.canonical`` and, through ``back_substituted``, for
 ``Ideal.key`` holds echelon forms, which are not unique; back-substituting
 one by the kernel's own step gives the unique Howell form, so a key block
 is held to the referee's block that way.
+``frac_equal_by_products`` compares the cross-multiplied ideals with no
+unit cancelled, the referee for ``iwafit.ideals.frac_equal``.
 ``per_element_generator_texts`` prints an ideal's canonical generators
 one element at a time, the referee for ``iwafit.cli.ideal_generators_text``;
 ``split_top_level_by_chars`` and ``closing_paren_by_chars`` walk a command
@@ -44,11 +46,15 @@ from iwafit.groupring import (
     zero,
 )
 from iwafit.ideals import (
+    FractionalIdeal,
+    FracVerdict,
     Ideal,
     _block_images,
     _block_rows,
     _distinct_nonzero_positions,
     _split,
+    ideal_equal,
+    scale_ideal,
     unit_ideal,
     zero_ideal,
 )
@@ -298,6 +304,16 @@ def stacked_key(I: Ideal) -> tuple[CoeffMatrix, ...]:
         rows = howell_span_rows(spec.p, spec.k, ncols, np.vstack(stack)) if stack else ()
         forms.append(CoeffMatrix(spec.p, spec.k, ncols, tuple(rows)))
     return tuple(forms)
+
+
+def frac_equal_by_products(X: FractionalIdeal, Y: FractionalIdeal) -> FracVerdict:
+    """I/f = J/g iff g*I = f*J, both products built in the whole ring and
+    compared by ``ideal_equal``; an equal verdict holds at T-precision
+    N - degT(f) - degT(g)."""
+    f, g = X.denominator, Y.denominator
+    if not ideal_equal(scale_ideal(g, X.numerator), scale_ideal(f, Y.numerator)):
+        return FracVerdict(False, None)
+    return FracVerdict(True, X.spec.N - f.t_degree() - g.t_degree())
 
 
 def back_substituted(E: CoeffMatrix) -> CoeffMatrix:
