@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .errors import IwafitError
 from .groupring import (
     GroupRingSpec,
@@ -154,8 +156,11 @@ def euler_factor_direct(data: DecompositionData,
         tuple(pow(v, -1, mod) for v in delta_values),
         (pow(gamma_value, -1, mod),),
     )
-    num = Ideal(spec, [apply_hom(untwist, g) for g in base.numerator.generators])
-    den = apply_hom(untwist, base.denominator)
+    # The numerator generators and the denominator, untwisted as one stack.
+    elements = base.numerator.generators + (base.denominator,)
+    images = apply_hom(untwist, np.array([x.coeffs for x in elements], spec.dtype()))
+    num = Ideal(spec, [RingElement(spec, c) for c in images[:-1]])
+    den = RingElement(spec, images[-1])
     status = _check_denominator(den, assume_nzd)
     return FractionalIdeal(num, den, status)
 

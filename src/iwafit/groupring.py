@@ -13,6 +13,10 @@ homomorphisms, the parser's tau basis and the CRT blocks of ``ideals``) is
 tensor, of shape ``spec.radices`` (or a stack of such tensors, behind
 leading axes), in a dtype sized by r_in and the matrix's largest entry.
 Homomorphism images are cast to the target spec's dtype.
+
+Characters are evaluated through one table per spec
+(``_character_table``), whose row blocks hold every character's values
+on the group monomials.
 """
 
 from __future__ import annotations
@@ -304,21 +308,18 @@ def norm_element(spec: GroupRingSpec, subset=None) -> RingElement:
     """Product over the chosen cyclic factors of (1 + delta_i + ... + delta_i^(m_i - 1)).
 
     ``subset`` uses 1-based factor indices; the default is all factors, which
-    yields the full norm element.
+    yields the full norm element.  The product is the sum of the group
+    monomials supported on the chosen axes, so it is built as one slice of
+    ones at T-degree 0.
     """
     if subset is None:
         subset = range(1, spec.s + 1)
-    subset = sorted(set(subset))
+    subset = set(subset)
     if any(not 1 <= i <= spec.s for i in subset):
         raise ValueError("factor index out of range")
-    result = one(spec)
-    for i in subset:
-        factor = zero(spec)
-        acc = factor.coeffs
-        for j in range(spec.orders[i - 1]):
-            acc = acc + delta(spec, i, j).coeffs
-        result = mul(result, RingElement(spec, acc % spec.modulus))
-    return result
+    c = _zeros(spec).reshape(spec.radices)
+    c[tuple(slice(None) if i in subset else 0 for i in range(1, spec.s + 1)) + (0,) * spec.d] = 1
+    return RingElement(spec, c.reshape(spec.size))
 
 
 def augmentation(x: RingElement) -> RingElement:
@@ -393,18 +394,26 @@ def twist_hom(spec: GroupRingSpec, delta_values=(), gamma_values=()) -> RingHom:
 
 
 def group_like(spec: GroupRingSpec, delta_exps, gamma_exps) -> RingElement:
-    """The monomial delta^a * prod_j (1 + T_j)^(c_j)."""
+    """The monomial delta^a * prod_j (1 + T_j)^(c_j).
+
+    Its coefficients are prod_j C(c_j, i_j) mod p^k at delta^a * T^i for
+    i_j < N: the outer product of one row of binomials per T variable,
+    placed at delta^a.
+    """
     delta_exps = tuple(delta_exps)
     gamma_exps = tuple(gamma_exps)
     if len(delta_exps) != spec.s or len(gamma_exps) != spec.d:
         raise ValueError("exponent tuples have wrong arity")
-    exps = [a % m for a, m in zip(delta_exps, spec.orders)] + [0] * spec.d
-    result = make_element(spec, [(tuple(exps), 1)])
-    for j, c in enumerate(gamma_exps, 1):
-        if c < 0:
-            raise ValueError("gamma exponents must be nonnegative")
-        result = mul(result, (one(spec) + tvar(spec, j)) ** c)
-    return result
+    if any(c < 0 for c in gamma_exps):
+        raise ValueError("gamma exponents must be nonnegative")
+    mod = spec.modulus
+    t_part = np.ones((), dtype=object)
+    for c in gamma_exps:
+        binomials = np.array([math.comb(c, i) % mod for i in range(spec.N)], dtype=object)
+        t_part = np.multiply.outer(t_part, binomials) % mod
+    c = _zeros(spec).reshape(spec.radices)
+    c[tuple(a % m for a, m in zip(delta_exps, spec.orders))] = t_part
+    return RingElement(spec, c.reshape(spec.size))
 
 
 def along_axes(spec: GroupRingSpec, coeffs: np.ndarray, mats) -> np.ndarray:
@@ -440,12 +449,19 @@ def _twist_t_matrix(spec: GroupRingSpec, u: int) -> np.ndarray:
                              if i <= b else 0 for b in range(N)] for i in range(N)], dtype=object))
 
 
-def apply_hom(h: RingHom, x: RingElement) -> RingElement:
-    """Apply a ring homomorphism to an element."""
-    if x.spec != h.source:
+def apply_hom(h: RingHom, x):
+    """Apply a ring homomorphism to an element, or to a stack of
+    coefficient rows (..., source size), giving the rows (..., target size)
+    of their images in one ``along_axes`` call."""
+    element = isinstance(x, RingElement)
+    if element and x.spec != h.source:
         raise SpecMismatchError("element does not live on the hom's source spec")
-    image = along_axes(h.source, x.coeffs, h.mats)
-    return RingElement(h.target, image.reshape(h.target.size).astype(h.target.dtype()))
+    coeffs = x.coeffs if element else x
+    if coeffs.shape[-1:] != (h.source.size,):
+        raise ValueError("coefficient rows have wrong length")
+    image = along_axes(h.source, coeffs, h.mats)
+    image = image.reshape(coeffs.shape[:-1] + (h.target.size,)).astype(h.target.dtype())
+    return RingElement(h.target, image) if element else image
 
 
 # --------------------------------------------------------------------------
@@ -697,25 +713,44 @@ def all_characters(spec: GroupRingSpec):
         yield Character(spec, t)
 
 
+@lru_cache(maxsize=None)
+def _character_table(spec: GroupRingSpec) -> np.ndarray:
+    """(|G| * phi(e), |G|) table of every character on the group monomials,
+    e = lcm(orders), in ``residue_dtype(p^k, |G|)``: row block t, for the
+    characters t in ``all_characters`` order, holds the (phi(e), |G|)
+    coefficients of zeta_e^W_t(a) over the group monomials a, with
+    W_t(a) = sum_i (e / m_i) * t_i * a_i mod e."""
+    e = reduce(math.lcm, spec.orders, 1)
+    G = spec.group_size
+    dtype = residue_dtype(spec.modulus, inner=G)
+    # W as outer sums over the axes, the characters and the monomials both
+    # in product order, the last axis fastest.
+    W = np.zeros((1, 1), dtype=np.int64)
+    for m in spec.orders:
+        step = (e // m) * np.multiply.outer(np.arange(m), np.arange(m))
+        W = ((W[:, None, :, None] + step[None, :, None, :]) % e).reshape(len(W) * m, -1)
+    zpow = _zeta_powers(e, spec.modulus).astype(dtype)[W]
+    return frozen(np.ascontiguousarray(zpow.transpose(0, 2, 1).reshape(-1, G)))
+
+
 def char_eval(chi: Character, x: RingElement) -> CyclotomicElement:
     """Substitute chi(delta_i) for delta_i, keeping the T variables.
 
     The group monomial delta^a goes to zeta_e^W(a), with
     W(a) = sum_i (e / m_i) * t_i * a_i mod e, so the value is one product
-    of the (|G|, phi(e)) table of those powers with the (|G|, N^d)
-    coefficients of x.
+    of chi's (phi(e), |G|) block of ``_character_table`` with the
+    (|G|, N^d) coefficients of x.
     """
     spec = x.spec
     if spec != chi.spec:
         raise SpecMismatchError("character and element specs differ")
-    e = chi.e
-    mod = spec.modulus
+    table = _character_table(spec)
     G = spec.group_size
-    # W in the order of the group monomials, the last axis fastest.
-    W = np.zeros(1, dtype=np.int64)
-    for m, t in zip(spec.orders, chi.exponents):
-        W = ((W[:, None] + (e // m) * t * np.arange(m)) % e).ravel()
-    dtype = residue_dtype(mod, inner=G)
-    zpow = _zeta_powers(e, mod)[W].astype(dtype)
-    out = zpow.T @ x.coeffs.reshape(G, -1).astype(dtype, copy=False) % mod
-    return CyclotomicElement(mod, e, out)
+    phi = len(table) // G
+    # chi's index in ``all_characters`` order, the last axis fastest.
+    t = 0
+    for ti, m in zip(chi.exponents, spec.orders):
+        t = t * m + ti
+    block = table[t * phi:(t + 1) * phi]
+    out = block @ x.coeffs.reshape(G, -1).astype(table.dtype, copy=False) % spec.modulus
+    return CyclotomicElement(spec.modulus, chi.e, out)

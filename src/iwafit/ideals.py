@@ -61,6 +61,14 @@ f = frob - q and N', T' the untwisted norm and T, f is a unit in most
 blocks; there f makes the closed numerator whole and N' vanishes, so both
 sides reduce to the image of T' and the block needs no form.
 
+Whole blocks: a block ideal with a unit generator is the whole block
+ring, whose form (Howell or echelon) is the identity, so ``_block_form``
+returns it with no kernel call (``_whole``).  The unit test needs the
+rest to have only p-power axes, so that (p, tau, T) is nilpotent there:
+every block of ``_split(spec)`` has such a rest, and the canonical
+form's one-block split below has one only when ``_split(spec)`` has no
+split axis.
+
 The canonical form is the same construction for the one-block split
 ``_Split((), (), ((),), spec)``, with no split axis: its only block image
 is g and its block rows are ``multiplication_rows(g)``.  So it is the
@@ -81,6 +89,9 @@ span-closed (each degree part of a vector of I that vanishes before a
 column is spanned by its form's rows past it), so by uniqueness they are
 the Howell form.  The same placement of echelon forms of the J_e with the
 Howell property gives an echelon form of the block with it, the key's.
+J_e only grows with e, so once the generators of some degree include a
+unit of S's block, J_e and every later J_e are the whole block, with the
+identity as form and no further kernel call.
 Any other block takes the stacked pass.
 """
 
@@ -99,9 +110,8 @@ from .errors import SpecMismatchError
 from .groupring import (
     GroupRingSpec,
     RingElement,
-    all_characters,
+    _character_table,
     along_axes,
-    char_eval,
     crt_factors,
     mul,
     multiplication_rows,
@@ -254,6 +264,10 @@ def _graded_rows(span, split: _Split, block, images, degrees) -> np.ndarray:
     forms, H = [], np.zeros((0, width), dtype)
     for e in np.unique(degrees).tolist():
         new = np.ascontiguousarray(slices[degrees == e, ..., e], dtype=S.dtype())
+        if _whole(sub, block, new):
+            # J_e is all of S's block, and so is every later J_e.
+            forms.append((e, np.eye(width, dtype=dtype)))
+            break
         stack = np.vstack([H, _nonzero_rows(_block_rows(sub, block, new))])
         H = np.array(span(rest.p, rest.k, width, stack), dtype)
         forms.append((e, H))
@@ -278,6 +292,8 @@ def _block_form(span, split: _Split, block, images: np.ndarray) -> CoeffMatrix:
     degrees = _t_degrees(rest, images)
     if degrees is not None:
         rows = _graded_rows(span, split, block, images, degrees)
+    elif _whole(split, block, images):
+        rows = np.eye(width, dtype=np.int64)
     elif len(images):
         rows = span(rest.p, rest.k, width, _nonzero_rows(_block_rows(split, block, images)))
     else:
@@ -304,6 +320,17 @@ def _units(split: _Split, block, images: np.ndarray) -> np.ndarray:
     U = math.prod(n for _, n in block)
     mats = _block_rows(residue, block, residues[..., None].astype(np.int64)).reshape(-1, U, U)
     return np.array([len(howell_span_rows(p, 1, U, M)) == U for M in mats], dtype=bool)
+
+
+def _whole(split: _Split, block, images: np.ndarray) -> bool:
+    """Whether some image of a stack is a unit of the block ring, so that
+    the images span the whole block and its form is the identity.  The
+    unit test (``_units``) needs a rest with only p-power axes: every block
+    of ``_split(spec)`` has one, and the one-block split of the canonical
+    form has one only when ``_split(spec)`` has no split axis."""
+    if not len(images) or _split(split.rest).axes:
+        return False
+    return bool(_units(split, block, images).any())
 
 
 def _block_equal(X: np.ndarray, Y: np.ndarray, form_x, form_y) -> bool:
@@ -544,7 +571,7 @@ def _cyclotomic_field_ok(spec: GroupRingSpec, e: int) -> bool:
         m //= spec.p
     if m == 1:
         return True
-    phi_m = sum(1 for t in range(1, m + 1) if np.gcd(t, m) == 1)
+    phi_m = sum(1 for t in range(1, m + 1) if math.gcd(t, m) == 1)
     order = 1
     acc = spec.p % m
     while acc != 1:
@@ -564,18 +591,24 @@ def nzd_certificate(f: RingElement) -> str:
     """Sufficient check that f is a non-zero-divisor of the exact ring.
 
     Evaluates every character of the finite group on f in the cyclotomic
-    coefficient ring; "certified" means every value is nonzero at working
-    precision, which proves f is a non-zero-divisor of the untruncated ring.
-    "inconclusive" proves nothing.
+    coefficient ring for e = lcm(orders); "certified" means every value is
+    nonzero at working precision, which proves f is a non-zero-divisor of
+    the untruncated ring.  "inconclusive" proves nothing; it is the answer
+    at once when Phi_e is reducible over Q_p (``_cyclotomic_field_ok``).
+
+    All characters are evaluated in one product ``table @ f``, with
+    ``groupring._character_table(spec)`` of shape (|G| * phi(e), |G|),
+    cached per spec, and f's (|G|, N^d) coefficients; character t's value
+    is row block t of the result.  The table has |G|^2 * phi(e) entries,
+    against the B^2 = |G|^2 * N^(2d) of the multiplication table
+    ``groupring._mul_table``, so it is the smaller of the two whenever
+    phi(e) <= N^(2d).  On the trivial group the one character is the
+    identity, and f != 0 suffices over (Z/p^k)[[T]].
     """
     spec = f.spec
-    if f.is_zero():
+    if not _cyclotomic_field_ok(spec, reduce(math.lcm, spec.orders, 1)) or f.is_zero():
         return "inconclusive"
-    chars = list(all_characters(spec))
-    if chars and not _cyclotomic_field_ok(spec, chars[0].e):
-        return "inconclusive"
-    for chi in chars:
-        if char_eval(chi, f).is_zero():
-            return "inconclusive"
-    # With no characters (the trivial group), f != 0 suffices over (Z/p^k)[[T]].
-    return "certified"
+    table = _character_table(spec)
+    G = spec.group_size
+    values = table @ f.coeffs.reshape(G, -1).astype(table.dtype, copy=False) % spec.modulus
+    return "certified" if (values.reshape(G, -1) != 0).any(axis=1).all() else "inconclusive"

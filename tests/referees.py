@@ -7,7 +7,12 @@ expands every maximal minor by cofactors, the referee for
 subsets depth first with one ``mul`` per (row mask, row), the referee for
 the minors of ``iwafit.fitting._minors_by_size`` and their order;
 ``char_eval_naive`` walks the group monomials one at a time, the referee
-for ``iwafit.groupring.char_eval``; ``stacked_canonical`` and
+for ``iwafit.groupring.char_eval``; ``nzd_certificate_by_characters``
+evaluates the characters one at a time by that walk, the referee for
+``iwafit.ideals.nzd_certificate``; ``norm_element_by_products`` and
+``group_like_by_products`` build their elements by ``mul`` and
+``__pow__``, the referees for ``iwafit.groupring.norm_element`` and
+``group_like``; ``stacked_canonical`` and
 ``stacked_key`` take one Howell pass over every block row of every
 generator (``distinct_nonzero`` keeps each non-zero generator once), the
 referees for ``Ideal.canonical`` and, through ``back_substituted``, for
@@ -36,13 +41,18 @@ from iwafit.fitting import PresentedModule
 from iwafit.groupring import (
     Character,
     CyclotomicElement,
+    GroupRingSpec,
     RingElement,
     _exponent_array,
     _zeta_powers,
+    all_characters,
+    delta,
     from_vector,
+    make_element,
     mul,
     multiplication_rows,
     one,
+    tvar,
     zero,
 )
 from iwafit.ideals import (
@@ -51,6 +61,7 @@ from iwafit.ideals import (
     Ideal,
     _block_images,
     _block_rows,
+    _cyclotomic_field_ok,
     _distinct_nonzero_positions,
     _split,
     ideal_equal,
@@ -269,6 +280,44 @@ def char_eval_naive(chi: Character, x: RingElement) -> CyclotomicElement:
         w = sum((e // m) * t * ai for m, t, ai in zip(spec.orders, chi.exponents, a)) % e
         out = (out + zpow[w][:, None] * row[None, :]) % mod
     return CyclotomicElement(mod, e, out)
+
+
+def nzd_certificate_by_characters(f: RingElement) -> str:
+    """"certified" iff Phi_e is irreducible over Q_p and no character takes
+    the value zero on f, the characters evaluated one at a time by
+    ``char_eval_naive``; else "inconclusive"."""
+    spec = f.spec
+    if f.is_zero():
+        return "inconclusive"
+    chars = list(all_characters(spec))
+    if not _cyclotomic_field_ok(spec, chars[0].e):
+        return "inconclusive"
+    for chi in chars:
+        if char_eval_naive(chi, f).is_zero():
+            return "inconclusive"
+    return "certified"
+
+
+def norm_element_by_products(spec: GroupRingSpec, subset=None) -> RingElement:
+    """The product of the sums 1 + delta_i + ... + delta_i^(m_i - 1) over
+    the chosen factors (1-based; all by default), one ``mul`` per factor."""
+    subset = range(1, spec.s + 1) if subset is None else subset
+    result = one(spec)
+    for i in sorted(set(subset)):
+        factor = zero(spec)
+        for j in range(spec.orders[i - 1]):
+            factor = factor + delta(spec, i, j)
+        result = mul(result, factor)
+    return result
+
+
+def group_like_by_products(spec: GroupRingSpec, delta_exps, gamma_exps) -> RingElement:
+    """delta^a times (1 + T_j)^(c_j) for each j, by ``mul`` and ``__pow__``."""
+    exps = [a % m for a, m in zip(delta_exps, spec.orders)] + [0] * spec.d
+    result = make_element(spec, [(tuple(exps), 1)])
+    for j, c in enumerate(gamma_exps, 1):
+        result = mul(result, (one(spec) + tvar(spec, j)) ** c)
+    return result
 
 
 def distinct_nonzero(elements) -> list[RingElement]:

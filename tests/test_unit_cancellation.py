@@ -5,7 +5,9 @@ both cross-products in the whole ring; the block unit test ``_units`` is
 held to the length of the block ideal that one element generates, from
 ``referees.stacked_key``'s kernel pass (a unit generates the whole block,
 of length k times its width); and the kernel calls the cancellation saves
-are counted.
+are counted, as are those that whole blocks save: a block ideal with a
+unit generator, or a T_d-degree from which J_e holds one, takes the
+identity as its form with no kernel call.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from iwafit import (
     frac_equal,
     ideal_equal,
     mul,
+    norm_element,
     one,
     scale_ideal,
     tvar,
@@ -30,8 +33,9 @@ from iwafit import (
 )
 from iwafit import apps, ideals, linalg, paperchecks
 from iwafit.ideals import _block_images, _split, _units
+from iwafit.linalg import CoeffMatrix
 
-from referees import frac_equal_by_products, stacked_key
+from referees import frac_equal_by_products, stacked_canonical, stacked_key
 from test_ideals import FACTORS, SPLIT_SPECS, build
 
 # Two quadratic factors of x^4 - 1 mod 3 on each axis: their block is
@@ -185,3 +189,44 @@ def test_ideal_equal_on_the_same_generators_makes_no_kernel_call(kernel_calls):
     assert kernel_calls == []
     assert not ideal_equal(I, Ideal(spec, gens[1:]))
     assert kernel_calls
+
+
+def test_whole_blocks_make_no_kernel_call(kernel_calls):
+    """tau and 1 + T (not homogeneous in T) take the stacked path, tau and
+    2 the graded one at degree 0; each has a unit generator, so its
+    canonical form and its key are the identity, with no kernel call."""
+    spec = GroupRingSpec(3, 3, (3, 3), 1, 4)
+    tau = delta(spec, 1) - one(spec)
+    whole = CoeffMatrix(3, 3, spec.size, np.eye(spec.size, dtype=np.int64))
+    for gens in ([tau, one(spec) + tvar(spec, 1)], [tau, const(spec, 2)]):
+        canonical, key = Ideal(spec, gens).canonical, Ideal(spec, gens).key
+        assert kernel_calls == []
+        assert canonical == key[0] == whole
+        assert canonical == stacked_canonical(Ideal(spec, gens))
+        kernel_calls.clear()
+
+
+def test_graded_forms_stop_at_the_first_whole_degree(kernel_calls):
+    """(norm, T) is graded by T: J_0 = (norm) takes a form, and J_1 holds
+    the unit 1, so degrees 1 to N - 1 take the identity: one kernel call,
+    not two."""
+    spec = GroupRingSpec(3, 3, (3, 3), 1, 4)
+    I = Ideal(spec, [norm_element(spec), tvar(spec, 1)])
+    canonical = I.canonical
+    assert len(kernel_calls) == 1
+    assert canonical == stacked_canonical(I)
+
+
+def test_canonical_of_a_split_spec_takes_the_kernel(kernel_calls):
+    """The canonical form's one block on a split spec has a rest with a
+    prime-to-p axis, where ``_units`` does not apply: delta - 2 at p = 5
+    and order 4 has residue 1 - 2, non-zero mod 5, yet generates an ideal
+    of length 21 in a ring of length 24 (it is 5 times a unit in the block
+    of x - 7, 7 the Teichmuller lift of 2 mod 25), so the form comes from
+    the kernel."""
+    spec = GroupRingSpec(5, 2, (4,), 1, 3)
+    I = Ideal(spec, [delta(spec, 1) - const(spec, 2)])
+    canonical = I.canonical
+    assert kernel_calls
+    assert canonical == stacked_canonical(I)
+    assert canonical.length == 21 < spec.k * spec.size
